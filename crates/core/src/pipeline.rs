@@ -4,23 +4,24 @@ use std::path::Path;
 
 use jumpshot::{HistogramRenderer, Legend, LegendSort, RenderOptions, Renderer, SvgRenderer};
 use pilot::{Pilot, PilotConfig, PilotOutcome, PilotResult};
-use slog2::{ConvertOptions, ConvertWarning, Converter, Slog2File, TimeWindow, TraceSource};
+use slog2::{ConvertWarning, Converter, Slog2File, TimeWindow, TraceSource};
 
 /// Pipeline options.
 #[derive(Debug, Clone, Default)]
 pub struct VisOptions {
-    /// CLOG2→SLOG2 conversion parameters (frame size etc.).
-    pub convert: ConvertOptions,
+    /// The CLOG2→SLOG2 converter (frame size etc.). Unless it sets
+    /// timeline names, the run's process names are used.
+    pub convert: Converter,
     /// Rendering parameters.
     pub render: RenderOptions,
 }
 
 impl VisOptions {
     /// Set the converter's worker-thread count (see
-    /// [`ConvertOptions::parallelism`]): `0` = one per core, `1` =
-    /// serial. The converted file is byte-identical at every setting.
+    /// [`Converter::parallelism`]): `0` = one per core, `1` = serial.
+    /// The converted file is byte-identical at every setting.
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.convert.parallelism = parallelism;
+        self.convert = self.convert.parallelism(parallelism);
         self
     }
 }
@@ -50,11 +51,12 @@ where
     let outcome = pilot::run(config, program);
     let (slog, warnings) = match outcome.clog() {
         Some(clog) => {
-            let mut copts = opts.convert.clone();
-            if copts.timeline_names.is_none() && !outcome.artifacts.process_names.is_empty() {
-                copts.timeline_names = Some(outcome.artifacts.process_names.clone());
+            let names = &outcome.artifacts.process_names;
+            let mut conv = opts.convert;
+            if conv.custom_timeline_names().is_none() && !names.is_empty() {
+                conv = conv.timeline_names(names.clone());
             }
-            let conv = Converter::from_options(&copts)
+            let conv = conv
                 .convert(TraceSource::InMemory(clog))
                 .expect("in-memory source cannot fail");
             (Some(conv.file), conv.warnings)
@@ -243,12 +245,9 @@ mod tests {
             tiny_program,
         );
         let slog = run.slog.as_ref().unwrap();
-        let copts = ConvertOptions {
-            timeline_names: Some(run.outcome.artifacts.process_names.clone()),
-            ..Default::default()
-        }
-        .with_parallelism(1);
-        let serial = Converter::from_options(&copts)
+        let serial = Converter::new()
+            .timeline_names(run.outcome.artifacts.process_names.clone())
+            .parallelism(1)
             .convert(TraceSource::InMemory(run.outcome.clog().unwrap()))
             .unwrap()
             .file;

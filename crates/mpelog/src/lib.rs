@@ -33,7 +33,7 @@ pub mod sync;
 pub mod wire;
 
 pub use clog2::{
-    finish_log, Clog2Blocks, Clog2File, Clog2Image, ImageBlock, ImageChunk, SalvagedClog,
+    finish_log, Clog2Blocks, Clog2File, Clog2Image, ImageBlock, ImageChunk, Salvaged, SalvagedClog,
     StreamError,
 };
 pub use color::Color;

@@ -239,6 +239,20 @@ impl<'a> From<&'a Record> for RecordView<'a> {
     }
 }
 
+impl From<RecordView<'_>> for Record {
+    fn from(v: RecordView<'_>) -> Record {
+        match v {
+            RecordView::Event { ts, id, text } => Record::Event {
+                ts,
+                id,
+                text: text.to_string(),
+            },
+            RecordView::Send { ts, dst, tag, size } => Record::Send { ts, dst, tag, size },
+            RecordView::Recv { ts, src, tag, size } => Record::Recv { ts, src, tag, size },
+        }
+    }
+}
+
 impl Record {
     /// Deserialize one record without copying its text (see
     /// [`RecordView`]).

@@ -17,6 +17,7 @@
 
 use mpelog::wire::Writer;
 
+use crate::convert::EqualKey;
 use crate::drawable::{ArrowDrawable, Drawable, EventDrawable, StateDrawable};
 use crate::id::{CategoryId, TimelineId};
 
@@ -202,9 +203,10 @@ impl DrawableColumns {
         self.aux1[i] += delta;
     }
 
-    /// The Equal-Drawables grouping key for row `i` — identical to
-    /// `equal_drawable_key(&self.to_drawable(i))`.
-    pub(crate) fn equal_key(&self, i: usize) -> (u32, u32, u32, u64, u64) {
+    /// The Equal-Drawables grouping key for row `i`: category,
+    /// placement (timeline, and an arrow's receiving timeline) and the
+    /// bit-exact interval.
+    pub(crate) fn equal_key(&self, i: usize) -> EqualKey {
         match self.kinds[i] {
             KIND_ARROW => (
                 self.cats[i],

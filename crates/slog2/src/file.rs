@@ -90,33 +90,16 @@ impl Slog2File {
     /// Serialize to bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::with_capacity(4096);
-        w.put_bytes(MAGIC);
-        w.put_u32(self.tree.capacity as u32);
-        w.put_u32(self.tree.max_depth);
-        w.put_f64(self.range.t0);
-        w.put_f64(self.range.t1);
-        w.put_u32(self.timelines.len() as u32);
-        for t in &self.timelines {
-            w.put_str(t);
+        let dir_start = Header {
+            capacity: self.tree.capacity,
+            max_depth: self.tree.max_depth,
+            range: self.range,
+            timelines: &self.timelines,
+            categories: &self.categories,
+            warnings: &self.warnings,
+            n_nodes: self.tree.node_count(),
         }
-        w.put_u32(self.categories.len() as u32);
-        for c in &self.categories {
-            c.encode(&mut w);
-        }
-        w.put_u32(self.warnings.len() as u32);
-        for s in &self.warnings {
-            w.put_str(s);
-        }
-
-        // Count nodes, reserve directory, then write nodes patching
-        // their offsets in.
-        let mut n_nodes = 0u32;
-        self.tree.visit(&mut |_| n_nodes += 1);
-        w.put_u32(n_nodes);
-        let dir_start = w.len();
-        for _ in 0..n_nodes {
-            w.put_u64(0);
-        }
+        .encode(&mut w);
         let mut idx = 0usize;
         encode_node(&self.tree.root, &mut w, dir_start, &mut idx);
         w.into_bytes()
@@ -260,23 +243,85 @@ fn checked_count(v: u32, bound: usize) -> Result<usize, WireError> {
     Ok(n)
 }
 
-fn encode_node(node: &FrameNode, w: &mut Writer, dir_start: usize, idx: &mut usize) {
-    w.patch_u64(dir_start + *idx * 8, w.len() as u64);
-    *idx += 1;
-    w.put_f64(node.t0);
-    w.put_f64(node.t1);
-    w.put_u32(node.depth);
-    w.put_u8(node.children.is_some() as u8);
-    w.put_u32(node.drawables.len() as u32);
-    for d in &node.drawables {
-        d.encode(w);
+/// Everything before the node directory. The in-memory writer
+/// ([`Slog2File::to_bytes`]) and the out-of-core writer both encode it
+/// here, and frame their nodes with [`encode_frame`] and
+/// [`encode_preview`].
+pub(crate) struct Header<'a> {
+    pub(crate) capacity: usize,
+    pub(crate) max_depth: u32,
+    pub(crate) range: TimeWindow,
+    pub(crate) timelines: &'a [String],
+    pub(crate) categories: &'a [Category],
+    pub(crate) warnings: &'a [String],
+    pub(crate) n_nodes: usize,
+}
+
+impl Header<'_> {
+    /// Encode the header plus a zeroed node directory; returns the
+    /// directory's offset.
+    pub(crate) fn encode(&self, w: &mut Writer) -> usize {
+        w.put_bytes(MAGIC);
+        w.put_u32(self.capacity as u32);
+        w.put_u32(self.max_depth);
+        w.put_f64(self.range.t0);
+        w.put_f64(self.range.t1);
+        w.put_u32(self.timelines.len() as u32);
+        for t in self.timelines {
+            w.put_str(t);
+        }
+        w.put_u32(self.categories.len() as u32);
+        for c in self.categories {
+            c.encode(w);
+        }
+        w.put_u32(self.warnings.len() as u32);
+        for s in self.warnings {
+            w.put_str(s);
+        }
+        w.put_u32(self.n_nodes as u32);
+        let dir_start = w.len();
+        for _ in 0..self.n_nodes {
+            w.put_u64(0);
+        }
+        dir_start
     }
-    w.put_u32(node.preview.entries.len() as u32);
-    for e in &node.preview.entries {
+}
+
+/// A node's frame, ahead of its `n_drawables` encoded drawables.
+pub(crate) fn encode_frame(
+    w: &mut Writer,
+    t0: f64,
+    t1: f64,
+    depth: u32,
+    split: bool,
+    n_drawables: usize,
+) {
+    w.put_f64(t0);
+    w.put_f64(t1);
+    w.put_u32(depth);
+    w.put_u8(split as u8);
+    w.put_u32(n_drawables as u32);
+}
+
+/// A node's preview, after its drawables.
+pub(crate) fn encode_preview(w: &mut Writer, preview: &Preview) {
+    w.put_u32(preview.entries.len() as u32);
+    for e in &preview.entries {
         w.put_u32(e.category.0);
         w.put_u64(e.count);
         w.put_f64(e.coverage);
     }
+}
+
+fn encode_node(node: &FrameNode, w: &mut Writer, dir_start: usize, idx: &mut usize) {
+    w.patch_u64(dir_start + *idx * 8, w.len() as u64);
+    *idx += 1;
+    let split = node.children.is_some();
+    encode_frame(w, node.t0, node.t1, node.depth, split, node.drawables.len());
+    for d in &node.drawables {
+        d.encode(w);
+    }
+    encode_preview(w, &node.preview);
     if let Some(ch) = &node.children {
         encode_node(&ch.0, w, dir_start, idx);
         encode_node(&ch.1, w, dir_start, idx);

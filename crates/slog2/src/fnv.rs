@@ -1,10 +1,10 @@
 //! FNV-1a hashing for the converter's hot paths.
 //!
-//! The Equal-Drawables detector groups tens of millions of small fixed-
-//! width keys; the standard library's SipHash is keyed and DoS-resistant
-//! but several times slower on 28-byte keys than FNV-1a. The inputs here
-//! are trace-internal (category ids and timestamp bits), not attacker-
-//! controlled strings, so the non-cryptographic hash is appropriate.
+//! The out-of-core shape pass counts rows per tree-node path id in a
+//! hash map; the standard library's SipHash is keyed and DoS-resistant
+//! but several times slower on small fixed-width keys than FNV-1a. The
+//! keys here are trace-internal (path ids), not attacker-controlled
+//! strings, so the non-cryptographic hash is appropriate.
 //! The same function, run over a byte stream, doubles as the digest the
 //! out-of-core writer reports for cross-run identity checks.
 

@@ -7,12 +7,15 @@
 //! window without scanning the whole file. This crate reproduces both
 //! halves:
 //!
-//! * [`convert`](mod@convert): pairs state start/end events (with nesting), matches
-//!   send/receive records into arrows, detects the **Equal Drawables**
-//!   condition the paper hits (identical timestamps from a
-//!   limited-resolution `MPI_Wtime`), and reports "non-well-behaved"
-//!   logs (unclosed states, unmatched sends) as warnings rather than
-//!   producing a silently defective file.
+//! * [`convert`]: the [`Converter`] pairs state start/end events (with
+//!   nesting), matches send/receive records into arrows, detects the
+//!   **Equal Drawables** condition the paper hits (identical timestamps
+//!   from a limited-resolution `MPI_Wtime`), and reports
+//!   "non-well-behaved" logs (unclosed states, unmatched sends, torn
+//!   files) as warnings rather than producing a silently defective
+//!   file. One pipeline serves every [`TraceSource`], both torn-input
+//!   policies, and both the in-memory and the out-of-core ([`oocore`])
+//!   writer.
 //! * [`tree`]: the frame tree. Each drawable lives in the shallowest
 //!   node whose time interval fully contains it; every node carries a
 //!   per-category *preview* histogram so a zoomed-out view can draw
@@ -39,11 +42,8 @@ pub mod tree;
 pub mod validate;
 pub mod window;
 
-#[allow(deprecated)]
-pub use convert::{convert, convert_reader, convert_salvaged};
 pub use convert::{
-    Conversion, ConvertOptions, ConvertWarning, Converter, FailureKind, RankVerdict, SalvageReport,
-    TornPolicy,
+    Conversion, ConvertWarning, Converter, FailureKind, RankVerdict, SalvageReport, TornPolicy,
 };
 pub use drawable::{ArrowDrawable, Category, CategoryKind, Drawable, EventDrawable, StateDrawable};
 pub use error::Slog2Error;
@@ -52,6 +52,6 @@ pub use id::{CategoryId, CategoryMap, TimelineId, WellKnownCategory};
 pub use oocore::ConvertSummary;
 pub use source::{Mmap, TraceSource};
 pub use stats::{legend_stats, CategoryStats};
-pub use tree::{FrameNode, FrameTree, FrameTreeBuilder, Preview};
+pub use tree::{FrameNode, FrameTree, Preview};
 pub use validate::{validate, Defect};
 pub use window::{Query, TimeWindow};

@@ -1,8 +1,10 @@
 //! Out-of-core conversion: write an SLOG2 file under a memory budget.
 //!
 //! [`Converter::convert_to_path`] converts a trace whose drawables do
-//! not fit in RAM. The frame tree never materializes: drawable rows
-//! spill to a temporary file as ranks are scanned, the tree *shape* is
+//! not fit in RAM. It shares the in-memory converter's front end, arrow
+//! matcher, Equal-Drawables count and encoder; only the frame tree is
+//! built differently. The tree never materializes: drawable rows spill
+//! to a temporary file as ranks are scanned, the tree *shape* is
 //! computed from streaming passes over that file, and the final SLOG2
 //! image is written node by node from an externally-sorted row stream.
 //! Output bytes are identical to `Converter::convert(..).file.to_bytes()`
@@ -11,14 +13,14 @@
 //!
 //! ## The three passes
 //!
-//! 1. **Scan + spill.** Each rank block is scanned (with the same
-//!    chunk-stealing scan as the in-memory path) and its rows appended
-//!    to the row file as one *segment*: `[start, end, cat, duration,
-//!    payload]` per row, where the payload is the row's exact
-//!    `Drawable::encode` bytes. Per-rank send/recv lists, warnings, and
-//!    per-segment time extrema stay resident (they are tiny next to the
-//!    drawables). Arrow rows append as the final segment after
-//!    matching. Equal-Drawables keys stream into an external sorter.
+//! 1. **Scan + spill.** The front end scans one rank block at a time
+//!    and each rank's rows are appended to the row file as one
+//!    *segment*: `[start, end, cat, duration, payload]` per row, where
+//!    the payload is the row's exact `Drawable::encode` bytes. Per-rank
+//!    send/recv lists, warnings, and per-segment time extrema stay
+//!    resident (they are tiny next to the drawables). Arrow rows append
+//!    as the final segment after matching. Equal-Drawables keys stream
+//!    into an external sorter.
 //! 2. **Shape.** A streaming pass counts, for every potential tree node
 //!    (addressed by its heap-style path id), how many rows would reach
 //!    it if every ancestor split. Since a row's descent path depends
@@ -45,18 +47,21 @@ use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mpelog::clog2::{Clog2Blocks, StreamError};
+use mpelog::clog2::StreamError;
 use mpelog::wire::Writer;
-use mpelog::Clog2File;
 
 use crate::columnar::DrawableColumns;
 use crate::convert::{
-    match_all_arrows, register_terminal_categories, terminal_shard, Conversion, ConvertWarning,
-    Converter, TornPolicy,
+    match_all_arrows, note_totals, report_equal_drawables, Conversion, ConvertWarning, Converter,
+    EqualKey, SalvageReport,
 };
+use crate::file::{encode_frame, encode_preview, Header};
 use crate::fnv::{fnv1a, FnvBuild, FNV_SEED};
-use crate::scan::{build_categories, scan_sources, BlockInput, CategoryTable, RankScan};
-use crate::source::TraceSource;
+use crate::id::CategoryId;
+use crate::scan::RankScan;
+use crate::source::{Scanned, TraceSource};
+use crate::tree::Preview;
+use crate::window::TimeWindow;
 
 /// What [`Converter::convert_to_path`] reports: enough to check two
 /// runs produced the same file without re-reading either.
@@ -72,6 +77,9 @@ pub struct ConvertSummary {
     pub bytes_written: u64,
     /// FNV-1a digest of the file bytes.
     pub digest: u64,
+    /// The salvage report the file embeds, tear facts included (`None`
+    /// under the strict torn-input policy).
+    pub salvage: Option<SalvageReport>,
 }
 
 impl Converter {
@@ -87,7 +95,11 @@ impl Converter {
         if self.max_depth > 32 {
             // Path ids don't reach below depth 32; fall back to the
             // in-memory build (identical bytes by construction).
-            let Conversion { file, warnings } = self.convert(src)?;
+            let Conversion {
+                file,
+                warnings,
+                salvage,
+            } = self.convert(src)?;
             let bytes = file.to_bytes();
             std::fs::write(dst, &bytes)?;
             return Ok(ConvertSummary {
@@ -96,6 +108,7 @@ impl Converter {
                 warnings,
                 bytes_written: bytes.len() as u64,
                 digest: fnv1a(FNV_SEED, &bytes),
+                salvage,
             });
         }
         run_out_of_core(self, src, dst)
@@ -107,7 +120,7 @@ impl Converter {
 static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A temp file deleted on drop.
-struct TempFile {
+pub(crate) struct TempFile {
     path: PathBuf,
 }
 
@@ -133,23 +146,102 @@ impl Drop for TempFile {
     }
 }
 
-/// An external sorter over byte records: buffers up to `budget` bytes,
-/// spills sorted runs to one temp file, and k-way merges the runs on
-/// drain. Records compare as byte slices, so callers encode sort keys
-/// big-endian.
-struct ExtSorter {
-    recs: Vec<Vec<u8>>,
+/// A record the external sorter holds: ordered, and written to and read
+/// back from a spill run.
+pub(crate) trait RunRecord: Ord + Sized {
+    /// Resident bytes charged against the sorter's budget.
+    fn weight(&self) -> usize;
+    fn write(&self, w: &mut impl Write) -> io::Result<()>;
+    /// The run's next record; `None` at its end.
+    fn read(r: &mut impl Read) -> io::Result<Option<Self>>;
+}
+
+/// Fill `buf`, or report a clean end of input.
+fn read_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
+    match r.read_exact(buf) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(false),
+        Err(e) => Err(e),
+    }
+}
+
+/// Equal-Drawables keys: fixed width.
+impl RunRecord for EqualKey {
+    fn weight(&self) -> usize {
+        std::mem::size_of::<EqualKey>()
+    }
+
+    fn write(&self, w: &mut impl Write) -> io::Result<()> {
+        let (cat, tl, tl2, t0, t1) = *self;
+        for v in [cat, tl, tl2] {
+            w.write_all(&v.to_le_bytes())?;
+        }
+        w.write_all(&t0.to_le_bytes())?;
+        w.write_all(&t1.to_le_bytes())
+    }
+
+    fn read(r: &mut impl Read) -> io::Result<Option<EqualKey>> {
+        let mut cat = [0u8; 4];
+        if !read_or_eof(r, &mut cat)? {
+            return Ok(None);
+        }
+        let (tl, tl2) = (read_u32(r)?, read_u32(r)?);
+        Ok(Some((
+            u32::from_le_bytes(cat),
+            tl,
+            tl2,
+            read_u64(r)?,
+            read_u64(r)?,
+        )))
+    }
+}
+
+/// A placed row: owning node (preorder), global row sequence, and the
+/// row's encoded drawable.
+type Placed = (u32, u64, Vec<u8>);
+
+impl RunRecord for Placed {
+    fn weight(&self) -> usize {
+        // The payload plus ~48 bytes of key, `Vec` header and padding.
+        self.2.len() + 48
+    }
+
+    fn write(&self, w: &mut impl Write) -> io::Result<()> {
+        w.write_all(&self.0.to_le_bytes())?;
+        w.write_all(&self.1.to_le_bytes())?;
+        w.write_all(&(self.2.len() as u32).to_le_bytes())?;
+        w.write_all(&self.2)
+    }
+
+    fn read(r: &mut impl Read) -> io::Result<Option<Placed>> {
+        let mut pre = [0u8; 4];
+        if !read_or_eof(r, &mut pre)? {
+            return Ok(None);
+        }
+        let seq = read_u64(r)?;
+        let mut payload = vec![0u8; read_u32(r)? as usize];
+        r.read_exact(&mut payload)?;
+        Ok(Some((u32::from_le_bytes(pre), seq, payload)))
+    }
+}
+
+/// An external sorter: buffers up to `budget` bytes of records, spills
+/// sorted runs to one temp file, and k-way merges the runs on drain.
+/// With an unbounded budget it never spills — the in-memory converter's
+/// case.
+pub(crate) struct ExtSorter<T> {
+    recs: Vec<T>,
     buffered: usize,
     budget: usize,
     spill: Option<(BufWriter<File>, TempFile)>,
     spill_dir: Option<PathBuf>,
     tag: &'static str,
+    /// Byte ranges of the spilled runs.
     runs: Vec<(u64, u64)>,
-    pos: u64,
 }
 
-impl ExtSorter {
-    fn new(budget: usize, spill_dir: Option<&Path>, tag: &'static str) -> ExtSorter {
+impl<T: RunRecord> ExtSorter<T> {
+    fn new(budget: usize, spill_dir: Option<&Path>, tag: &'static str) -> ExtSorter<T> {
         ExtSorter {
             recs: Vec::new(),
             buffered: 0,
@@ -159,13 +251,16 @@ impl ExtSorter {
             spill_dir: spill_dir.map(Path::to_path_buf),
             tag,
             runs: Vec::new(),
-            pos: 0,
         }
     }
 
-    fn push(&mut self, rec: Vec<u8>) -> io::Result<()> {
-        // ~32 bytes of Vec overhead per record.
-        self.buffered += rec.len() + 32;
+    /// A sorter that never spills.
+    pub(crate) fn in_memory() -> ExtSorter<T> {
+        ExtSorter::new(usize::MAX, None, "mem")
+    }
+
+    pub(crate) fn push(&mut self, rec: T) -> io::Result<()> {
+        self.buffered += rec.weight();
         self.recs.push(rec);
         if self.buffered > self.budget {
             self.spill_run()?;
@@ -184,19 +279,17 @@ impl ExtSorter {
             self.spill = Some((BufWriter::new(f), tf));
         }
         let w = &mut self.spill.as_mut().expect("spill open").0;
-        let start = self.pos;
+        let start = self.runs.last().map_or(0, |r| r.1);
         for rec in self.recs.drain(..) {
-            w.write_all(&(rec.len() as u32).to_le_bytes())?;
-            w.write_all(&rec)?;
-            self.pos += 4 + rec.len() as u64;
+            rec.write(w)?;
         }
-        self.runs.push((start, self.pos));
+        self.runs.push((start, w.stream_position()?));
         self.buffered = 0;
         Ok(())
     }
 
     /// Drain everything in sorted order.
-    fn into_sorted(mut self) -> io::Result<SortedIter> {
+    pub(crate) fn into_sorted(mut self) -> io::Result<SortedIter<T>> {
         if self.runs.is_empty() {
             self.recs.sort_unstable();
             return Ok(SortedIter::Mem(self.recs.into_iter()));
@@ -209,10 +302,8 @@ impl ExtSorter {
         for (i, &(start, end)) in self.runs.iter().enumerate() {
             let mut f = File::open(&tf.path)?;
             f.seek(SeekFrom::Start(start))?;
-            let mut r = RunReader {
-                r: BufReader::new(f.take(end - start)),
-            };
-            if let Some(rec) = r.next_rec()? {
+            let mut r = BufReader::new(f.take(end - start));
+            if let Some(rec) = T::read(&mut r)? {
                 heap.push(std::cmp::Reverse((rec, i)));
             }
             readers.push(r);
@@ -225,42 +316,24 @@ impl ExtSorter {
     }
 }
 
-struct RunReader {
-    r: BufReader<io::Take<File>>,
-}
-
-impl RunReader {
-    fn next_rec(&mut self) -> io::Result<Option<Vec<u8>>> {
-        let mut len = [0u8; 4];
-        match self.r.read_exact(&mut len) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-            Err(e) => return Err(e),
-        }
-        let mut rec = vec![0u8; u32::from_le_bytes(len) as usize];
-        self.r.read_exact(&mut rec)?;
-        Ok(Some(rec))
-    }
-}
-
-enum SortedIter {
-    Mem(std::vec::IntoIter<Vec<u8>>),
+pub(crate) enum SortedIter<T> {
+    Mem(std::vec::IntoIter<T>),
     Merge {
-        heap: BinaryHeap<std::cmp::Reverse<(Vec<u8>, usize)>>,
-        readers: Vec<RunReader>,
+        heap: BinaryHeap<std::cmp::Reverse<(T, usize)>>,
+        readers: Vec<BufReader<io::Take<File>>>,
         _guard: TempFile,
     },
 }
 
-impl SortedIter {
-    fn next_rec(&mut self) -> io::Result<Option<Vec<u8>>> {
+impl<T: RunRecord> SortedIter<T> {
+    pub(crate) fn next_rec(&mut self) -> io::Result<Option<T>> {
         match self {
             SortedIter::Mem(it) => Ok(it.next()),
             SortedIter::Merge { heap, readers, .. } => {
                 let Some(std::cmp::Reverse((rec, i))) = heap.pop() else {
                     return Ok(None);
                 };
-                if let Some(next) = readers[i].next_rec()? {
+                if let Some(next) = T::read(&mut readers[i])? {
                     heap.push(std::cmp::Reverse((next, i)));
                 }
                 Ok(Some(rec))
@@ -311,7 +384,7 @@ impl RowFile {
         &mut self,
         order: (u8, u32),
         cols: &DrawableColumns,
-        eq: &mut ExtSorter,
+        eq: &mut ExtSorter<EqualKey>,
     ) -> io::Result<()> {
         let start = self.pos;
         let (mut t0, mut t1) = (f64::INFINITY, f64::NEG_INFINITY);
@@ -330,7 +403,7 @@ impl RowFile {
             let (s, e) = (cols.start(i), cols.end(i));
             t0 = t0.min(s);
             t1 = t1.max(e);
-            eq.push(pack_equal_key(cols.equal_key(i)).to_vec())?;
+            eq.push(cols.equal_key(i))?;
             let bytes = &payloads[offsets[i]..offsets[i + 1]];
             self.w.write_all(&s.to_le_bytes())?;
             self.w.write_all(&e.to_le_bytes())?;
@@ -429,27 +502,19 @@ impl RowCursor {
 }
 
 fn read_f64(r: &mut impl Read) -> io::Result<f64> {
+    Ok(f64::from_bits(read_u64(r)?))
+}
+
+fn read_u64(r: &mut impl Read) -> io::Result<u64> {
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
-    Ok(f64::from_le_bytes(b))
+    Ok(u64::from_le_bytes(b))
 }
 
 fn read_u32(r: &mut impl Read) -> io::Result<u32> {
     let mut b = [0u8; 4];
     r.read_exact(&mut b)?;
     Ok(u32::from_le_bytes(b))
-}
-
-/// Pack an Equal-Drawables key big-endian so byte order equals tuple
-/// order.
-fn pack_equal_key(k: (u32, u32, u32, u64, u64)) -> [u8; 28] {
-    let mut out = [0u8; 28];
-    out[0..4].copy_from_slice(&k.0.to_be_bytes());
-    out[4..8].copy_from_slice(&k.1.to_be_bytes());
-    out[8..12].copy_from_slice(&k.2.to_be_bytes());
-    out[12..20].copy_from_slice(&k.3.to_be_bytes());
-    out[20..28].copy_from_slice(&k.4.to_be_bytes());
-    out
 }
 
 /// One realized tree node, preorder.
@@ -459,25 +524,6 @@ struct NodeMeta {
     depth: u32,
     split: bool,
     items: u64,
-}
-
-/// Per-category preview accumulator mirroring `Preview::add` (sorted
-/// insert, `count += 1`, `coverage += duration` in arrival order).
-#[derive(Default)]
-struct PreviewAcc {
-    entries: Vec<(u32, u64, f64)>,
-}
-
-impl PreviewAcc {
-    fn add(&mut self, cat: u32, dur: f64) {
-        match self.entries.binary_search_by_key(&cat, |e| e.0) {
-            Ok(i) => {
-                self.entries[i].1 += 1;
-                self.entries[i].2 += dur;
-            }
-            Err(i) => self.entries.insert(i, (cat, 1, dur)),
-        }
-    }
 }
 
 /// Walk one row down the potential tree, calling `visit(path_id)` at
@@ -555,16 +601,6 @@ fn realize_tree(
     (nodes, map)
 }
 
-/// Everything the driver hands to the writer.
-struct Prepared {
-    table: CategoryTable,
-    shards: Vec<RankScan>,
-    warnings: Vec<ConvertWarning>,
-    rows: RowFile,
-    eq: ExtSorter,
-    nranks: u32,
-}
-
 fn run_out_of_core(
     conv: &Converter,
     src: TraceSource<'_>,
@@ -576,72 +612,48 @@ fn run_out_of_core(
     let spill_dir = conv.spill_dir.as_deref();
 
     // ---- Pass A: scan ranks, spill drawable rows per segment. ----
-    let mut prep = {
-        let _span = obs.map(|o| o.span("scan", "convert", 0));
-        prepare(conv, src, workers, budget, spill_dir)?
-    };
+    let mut rows = RowFile::create(spill_dir)?;
+    let mut eq = ExtSorter::new(budget / 4, spill_dir, "eqkeys");
+    let Scanned {
+        table,
+        nranks,
+        shards,
+        mut warnings,
+        salvage,
+    } = conv.scan(
+        src,
+        Some(&mut |scan: &mut RankScan| {
+            rows.spill_shard((0, scan.rank), &scan.cols, &mut eq)?;
+            scan.cols = DrawableColumns::new();
+            Ok(())
+        }),
+    )?;
 
     // Arrow matching runs on the resident send/recv lists; its rows
     // spill as the final segment.
+    let scan_warnings = warnings.len();
+    let mut acols = DrawableColumns::new();
     {
         let _span = obs.map(|o| o.span("arrow-match", "convert", 0));
-        let mut acols = DrawableColumns::new();
         match_all_arrows(
-            &prep.shards,
-            prep.table.arrow_cat,
+            &shards,
+            table.arrow_cat,
             workers,
             obs,
             &mut acols,
-            &mut prep.warnings,
+            &mut warnings,
         );
-        prep.rows.spill_shard((1, 0), &acols, &mut prep.eq)?;
+        rows.spill_shard((1, 0), &acols, &mut eq)?;
     }
-
-    // Equal-Drawables: drain the key sorter, report runs longer than 1
-    // in key order (identical to the in-memory sorted-dups report).
     {
         let _span = obs.map(|o| o.span("diagnose", "convert", 0));
-        let mut sorted = prep.eq.into_sorted()?;
-        let mut current: Option<(Vec<u8>, usize)> = None;
-        let flush = |cur: &mut Option<(Vec<u8>, usize)>, warnings: &mut Vec<ConvertWarning>| {
-            if let Some((key, n)) = cur.take() {
-                if n > 1 {
-                    let cat = u32::from_be_bytes(key[0..4].try_into().expect("key width"));
-                    let t0 = f64::from_bits(u64::from_be_bytes(
-                        key[12..20].try_into().expect("key width"),
-                    ));
-                    let t1 = f64::from_bits(u64::from_be_bytes(
-                        key[20..28].try_into().expect("key width"),
-                    ));
-                    warnings.push(ConvertWarning::EqualDrawables {
-                        category: prep
-                            .table
-                            .categories
-                            .get(cat as usize)
-                            .map(|c| c.name.clone())
-                            .unwrap_or_else(|| format!("cat{cat}")),
-                        count: n,
-                        t0,
-                        t1,
-                    });
-                }
-            }
-        };
-        while let Some(key) = sorted.next_rec()? {
-            match &mut current {
-                Some((k, n)) if *k == key => *n += 1,
-                _ => {
-                    flush(&mut current, &mut prep.warnings);
-                    current = Some((key, 1));
-                }
-            }
-        }
-        flush(&mut current, &mut prep.warnings);
+        report_equal_drawables(eq, &table.categories, &mut warnings)?;
     }
+    note_totals(obs, acols.n_arrows(), warnings.len() - scan_warnings);
 
     // ---- Pass B: range + reach counts → realized tree shape. ----
     let _tree_span = obs.map(|o| o.span("tree-build", "convert", 0));
-    let cursor = prep.rows.finish()?;
+    let cursor = rows.finish()?;
     let (t0, t1) = cursor.range();
     let capacity = conv.frame_capacity.max(1);
     let mut reach: HashMap<u64, u64, FnvBuild> = HashMap::default();
@@ -661,13 +673,13 @@ fn run_out_of_core(
     // creates. Rows stream in global sequence order, so each node's
     // preview accumulates its items in exactly the order the in-memory
     // build adds them (per-node f64 sums are bit-identical).
-    let mut previews: Vec<PreviewAcc> = nodes.iter().map(|_| PreviewAcc::default()).collect();
+    let mut previews: Vec<Preview> = nodes.iter().map(|_| Preview::default()).collect();
     let mut placed = ExtSorter::new(budget / 2, spill_dir, "placed");
     cursor.for_each(|seq, row| {
         let (mut id, mut a, mut b) = (1u64, t0, t1);
         let keep = loop {
             let pre = node_of[&id];
-            previews[pre as usize].add(row.cat, row.dur);
+            previews[pre as usize].add(CategoryId(row.cat), row.dur);
             if !nodes[pre as usize].split {
                 break pre;
             }
@@ -682,91 +694,61 @@ fn run_out_of_core(
                 break pre;
             }
         };
-        let mut rec = Vec::with_capacity(12 + row.payload.len());
-        rec.extend_from_slice(&keep.to_be_bytes());
-        rec.extend_from_slice(&seq.to_be_bytes());
-        rec.extend_from_slice(&row.payload);
-        placed.push(rec)
+        placed.push((keep, seq, row.payload))
     })?;
 
     // ---- Write the file. ----
-    let timelines = conv.timeline_names.clone().unwrap_or_else(|| {
-        (0..prep.nranks)
-            .map(|r| {
-                if r == 0 {
-                    "PI_MAIN".to_string()
-                } else {
-                    format!("P{r}")
-                }
-            })
-            .collect()
-    });
+    let warning_text: Vec<String> = warnings.iter().map(ToString::to_string).collect();
     let mut header = Writer::with_capacity(4096);
-    header.put_bytes(b"PSLOG2\x00\x01");
-    header.put_u32(capacity as u32);
-    header.put_u32(conv.max_depth);
-    header.put_f64(t0);
-    header.put_f64(t1);
-    header.put_u32(timelines.len() as u32);
-    for t in &timelines {
-        header.put_str(t);
+    let dir_start = Header {
+        capacity,
+        max_depth: conv.max_depth,
+        range: TimeWindow::new(t0, t1),
+        timelines: &conv.timelines(nranks),
+        categories: &table.categories,
+        warnings: &warning_text,
+        n_nodes: nodes.len(),
     }
-    header.put_u32(prep.table.categories.len() as u32);
-    for c in &prep.table.categories {
-        c.encode(&mut header);
-    }
-    header.put_u32(prep.warnings.len() as u32);
-    for w in &prep.warnings {
-        header.put_str(&w.to_string());
-    }
-    header.put_u32(nodes.len() as u32);
+    .encode(&mut header) as u64;
     let header = header.into_bytes();
-
     let mut out = BufWriter::new(File::create(dst)?);
     out.write_all(&header)?;
-    let dir_start = header.len() as u64;
-    out.write_all(&vec![0u8; nodes.len() * 8])?;
-    let mut pos = dir_start + nodes.len() as u64 * 8;
+    let mut pos = header.len() as u64;
     let mut directory = Vec::with_capacity(nodes.len());
     let mut sorted = placed.into_sorted()?;
     for (pre, node) in nodes.iter().enumerate() {
         directory.push(pos);
+        let mut put = |bytes: &[u8]| {
+            pos += bytes.len() as u64;
+            out.write_all(bytes)
+        };
         let mut w = Writer::with_capacity(64);
-        w.put_f64(node.t0);
-        w.put_f64(node.t1);
-        w.put_u32(node.depth);
-        w.put_u8(node.split as u8);
-        w.put_u32(node.items as u32);
-        let head = w.into_bytes();
-        out.write_all(&head)?;
-        pos += head.len() as u64;
+        encode_frame(
+            &mut w,
+            node.t0,
+            node.t1,
+            node.depth,
+            node.split,
+            node.items as usize,
+        );
+        put(&w.into_bytes())?;
         // The sorted stream is grouped by preorder index, and the reach
         // arithmetic guarantees each group's length equals the node's
-        // item count — assert rather than trust.
+        // item count — check rather than trust.
         for _ in 0..node.items {
-            let rec = sorted
+            let (rec_pre, _, payload) = sorted
                 .next_rec()?
                 .ok_or_else(|| io::Error::other("row stream ended before its node count"))?;
-            let rec_pre = u32::from_be_bytes(rec[0..4].try_into().expect("rec key"));
             if rec_pre != pre as u32 {
                 return Err(StreamError::Io(io::Error::other(
                     "row placed outside its node",
                 )));
             }
-            out.write_all(&rec[12..])?;
-            pos += rec.len() as u64 - 12;
+            put(&payload)?;
         }
-        let pv = &previews[pre].entries;
-        let mut w = Writer::with_capacity(16 * pv.len() + 4);
-        w.put_u32(pv.len() as u32);
-        for &(cat, count, coverage) in pv {
-            w.put_u32(cat);
-            w.put_u64(count);
-            w.put_f64(coverage);
-        }
-        let tail = w.into_bytes();
-        out.write_all(&tail)?;
-        pos += tail.len() as u64;
+        let mut w = Writer::with_capacity(64);
+        encode_preview(&mut w, &previews[pre]);
+        put(&w.into_bytes())?;
     }
     let mut f = out.into_inner().map_err(io::Error::other)?;
     f.seek(SeekFrom::Start(dir_start))?;
@@ -795,155 +777,19 @@ fn run_out_of_core(
     Ok(ConvertSummary {
         drawables: cursor.total_rows,
         nodes: nodes.len() as u64,
-        warnings: prep.warnings,
+        warnings,
         bytes_written,
         digest,
+        salvage,
     })
-}
-
-/// Pass A over every source kind: scan rank blocks (one at a time, so
-/// only one rank's drawables are ever resident), spill row segments,
-/// and keep the small residents (sends/recvs/warnings) for matching.
-fn prepare(
-    conv: &Converter,
-    src: TraceSource<'_>,
-    workers: usize,
-    budget: usize,
-    spill_dir: Option<&Path>,
-) -> Result<Prepared, StreamError> {
-    let mut rows = RowFile::create(spill_dir)?;
-    let mut eq = ExtSorter::new(budget / 4, spill_dir, "eqkeys");
-    let obs = conv.obs.as_deref();
-
-    fn spill_scan(scan: &mut RankScan, rows: &mut RowFile, eq: &mut ExtSorter) -> io::Result<()> {
-        rows.spill_shard((0, scan.rank), &scan.cols, eq)?;
-        scan.cols = DrawableColumns::new();
-        Ok(())
-    }
-
-    // Salvage mode recovers the clean byte prefix first, then runs the
-    // same per-rank pipeline plus the terminal shard.
-    if let TornPolicy::Salvage(report) = &conv.torn {
-        let clog: Clog2File = match src {
-            TraceSource::InMemory(c) => c.clone(),
-            TraceSource::Bytes(b) => Clog2File::salvage_bytes(b).file,
-            TraceSource::Mmap(ref m) => Clog2File::salvage_bytes(m).file,
-            TraceSource::Reader(mut r) => {
-                let mut bytes = Vec::new();
-                r.read_to_end(&mut bytes)?;
-                Clog2File::salvage_bytes(&bytes).file
-            }
-        };
-        let mut table = build_categories(&clog.state_defs, &clog.event_defs);
-        let terminal_cats = register_terminal_categories(&mut table, report);
-        let mut shards = Vec::with_capacity(clog.blocks.len() + 1);
-        for (&rank, records) in &clog.blocks {
-            let input = [BlockInput::Records(rank, records.as_slice())];
-            let mut scan = scan_sources(&input, &table, workers, obs)
-                .pop()
-                .expect("one block scanned");
-            spill_scan(&mut scan, &mut rows, &mut eq)?;
-            shards.push(scan);
-        }
-        let mut terminal = terminal_shard(&clog, report, &terminal_cats);
-        spill_scan(&mut terminal, &mut rows, &mut eq)?;
-        shards.push(terminal);
-        let mut warnings = Vec::new();
-        for s in &mut shards {
-            warnings.append(&mut s.warnings);
-        }
-        return Ok(Prepared {
-            table,
-            shards,
-            warnings,
-            rows,
-            eq,
-            nranks: clog.nranks,
-        });
-    }
-
-    let (table, mut shards, nranks) = match src {
-        TraceSource::InMemory(clog) => {
-            let table = build_categories(&clog.state_defs, &clog.event_defs);
-            let mut shards = Vec::with_capacity(clog.blocks.len());
-            for (&rank, records) in &clog.blocks {
-                let input = [BlockInput::Records(rank, records.as_slice())];
-                let mut scan = scan_sources(&input, &table, workers, obs)
-                    .pop()
-                    .expect("one block scanned");
-                spill_scan(&mut scan, &mut rows, &mut eq)?;
-                shards.push(scan);
-            }
-            (table, shards, clog.nranks)
-        }
-        TraceSource::Bytes(bytes) => scan_image(bytes, workers, obs, &mut rows, &mut eq)?,
-        TraceSource::Mmap(ref map) => scan_image(map, workers, obs, &mut rows, &mut eq)?,
-        TraceSource::Reader(r) => {
-            let mut blocks = Clog2Blocks::open(r)?;
-            let table = build_categories(&blocks.state_defs, &blocks.event_defs);
-            let nranks = blocks.nranks;
-            let mut by_rank: std::collections::BTreeMap<u32, RankScan> =
-                std::collections::BTreeMap::new();
-            for item in &mut blocks {
-                let (rank, records) = item?;
-                let input = [BlockInput::Records(rank, records.as_slice())];
-                let mut scan = scan_sources(&input, &table, workers, obs)
-                    .pop()
-                    .expect("one block scanned");
-                spill_scan(&mut scan, &mut rows, &mut eq)?;
-                by_rank.insert(rank, scan);
-            }
-            blocks.finish()?;
-            (table, by_rank.into_values().collect(), nranks)
-        }
-    };
-
-    // Shard warnings flow into the global list in rank order — exactly
-    // the in-memory merge.
-    let mut warnings = Vec::new();
-    for s in &mut shards {
-        warnings.append(&mut s.warnings);
-    }
-    Ok(Prepared {
-        table,
-        shards,
-        warnings,
-        rows,
-        eq,
-        nranks,
-    })
-}
-
-/// Pass A over a raw byte image (`Bytes` or `Mmap`): zero-copy scan,
-/// one rank resident at a time.
-fn scan_image(
-    bytes: &[u8],
-    workers: usize,
-    obs: Option<&obs::Obs>,
-    rows: &mut RowFile,
-    eq: &mut ExtSorter,
-) -> Result<(CategoryTable, Vec<RankScan>, u32), StreamError> {
-    let image = Clog2File::parse_image(bytes, crate::scan::CHUNK_RECORDS)?;
-    let table = build_categories(&image.state_defs, &image.event_defs);
-    let mut shards = Vec::with_capacity(image.blocks.len());
-    for b in &image.blocks {
-        let input = [BlockInput::Image(b)];
-        let mut scan = scan_sources(&input, &table, workers, obs)
-            .pop()
-            .expect("one block scanned");
-        rows.spill_shard((0, scan.rank), &scan.cols, eq)?;
-        scan.cols = DrawableColumns::new();
-        shards.push(scan);
-    }
-    Ok((table, shards, image.nranks))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convert::ConvertOptions;
-    use crate::SalvageReport;
-    use mpelog::{Color, Logger};
+    use crate::convert::tests::messy_clog;
+    use crate::convert::TornPolicy;
+    use mpelog::{Clog2File, Color, Logger};
 
     fn tmp_dir() -> PathBuf {
         let d = std::env::temp_dir().join(format!("slog2-oocore-test-{}", std::process::id()));
@@ -951,56 +797,9 @@ mod tests {
         d
     }
 
-    /// A messy multi-rank log exercising every drawable and warning
-    /// path (mirrors the converter tests' generator).
-    fn messy_clog(nranks: u32) -> Clog2File {
-        let mut loggers: Vec<Logger> = (0..nranks as usize).map(Logger::new).collect();
-        let mut ids = Vec::new();
-        for lg in &mut loggers {
-            let s = lg.define_state("compute", Color::GREEN);
-            let t = lg.define_state("io", Color::RED);
-            let _ = lg.define_event("mark", Color::YELLOW);
-            if ids.is_empty() {
-                ids = vec![s.0, s.1, t.0, t.1];
-            }
-        }
-        let n = nranks as usize;
-        for (r, lg) in loggers.iter_mut().enumerate() {
-            let base = r as f64;
-            // Nested states, one backward.
-            lg.log_event(base + 0.1, ids[0], "outer");
-            lg.log_event(base + 0.2, ids[2], "inner");
-            lg.log_event(base + 0.15, ids[3], ""); // backward io
-            lg.log_event(base + 0.9, ids[1], "");
-            // Ring messages; rank 0 also sends one nobody receives.
-            let dst = (r + 1) % n;
-            lg.log_send(base + 0.3, dst, 7, 64);
-            lg.log_receive(base + 0.35, (r + n - 1) % n, 7, 64);
-            if r == 0 {
-                lg.log_send(base + 0.4, dst, 9, 8); // unmatched send
-                lg.log_receive(base + 0.5, dst, 11, 8); // unmatched recv
-                lg.log_event(base + 0.6, ids[0], "never closed"); // unclosed
-            }
-            // Equal drawables: identical start/end pairs.
-            lg.log_event(base + 0.7, ids[2], "");
-            lg.log_event(base + 0.72, ids[3], "");
-            lg.log_event(base + 0.7, ids[2], "");
-            lg.log_event(base + 0.72, ids[3], "");
-        }
-        let mut blocks = std::collections::BTreeMap::new();
-        for (r, lg) in loggers.iter().enumerate() {
-            blocks.insert(r as u32, lg.records().to_vec());
-        }
-        Clog2File {
-            nranks,
-            state_defs: loggers[0].state_defs().to_vec(),
-            event_defs: loggers[0].event_defs().to_vec(),
-            blocks,
-        }
-    }
-
     fn in_memory_bytes(clog: &Clog2File, threads: usize) -> Vec<u8> {
-        Converter::from_options(&ConvertOptions::default().with_parallelism(threads))
+        Converter::new()
+            .parallelism(threads)
             .convert(TraceSource::InMemory(clog))
             .unwrap()
             .file
@@ -1136,6 +935,51 @@ mod tests {
         assert_eq!(summary.drawables, 4_000);
     }
 
+    /// Equal Drawables counted across spilled key runs: 10⁴ groups of
+    /// duplicates on a quantized clock overflow the 64 KiB key sorter
+    /// many times over, yet the warnings match the in-memory count in
+    /// content and order.
+    #[test]
+    fn equal_drawables_across_spill_runs_match_in_memory() {
+        let groups = 10_000;
+        let mut lg = Logger::new(0);
+        let (s, e) = lg.define_state("tick", Color::GREEN);
+        for k in 0..groups {
+            // A 1 µs grid; each interval is logged twice, and every
+            // third once more.
+            let t = k as f64 * 1e-6;
+            for _ in 0..2 + usize::from(k % 3 == 0) {
+                lg.log_event(t, s, "");
+                lg.log_event(t + 5e-7, e, "");
+            }
+        }
+        let clog = Clog2File {
+            nranks: 1,
+            state_defs: lg.state_defs().to_vec(),
+            event_defs: Vec::new(),
+            blocks: [(0u32, lg.records().to_vec())].into(),
+        };
+        let want = Converter::new()
+            .parallelism(2)
+            .convert(TraceSource::InMemory(&clog))
+            .unwrap();
+        let equal = |w: &[ConvertWarning]| {
+            w.iter()
+                .filter(|w| matches!(w, ConvertWarning::EqualDrawables { .. }))
+                .count()
+        };
+        assert_eq!(equal(&want.warnings), groups);
+        let dst = tmp_dir().join("ooc-equal.pslog2");
+        let summary = Converter::new()
+            .parallelism(2)
+            .memory_budget(1)
+            .spill_dir(tmp_dir())
+            .convert_to_path(TraceSource::InMemory(&clog), &dst)
+            .unwrap();
+        assert_eq!(summary.warnings, want.warnings);
+        assert_eq!(std::fs::read(&dst).unwrap(), want.file.to_bytes());
+    }
+
     #[test]
     fn out_of_core_empty_log_matches() {
         let clog = Clog2File {
@@ -1181,8 +1025,8 @@ mod tests {
         let mut want = Vec::new();
         for i in 0..20_000u32 {
             let key = (i.wrapping_mul(2_654_435_761)) ^ 0x5a5a;
-            let rec = key.to_be_bytes().to_vec();
-            want.push(rec.clone());
+            let rec: EqualKey = (key % 7, key, i, u64::from(key) << 20, u64::from(i));
+            want.push(rec);
             s.push(rec).unwrap();
         }
         want.sort_unstable();

@@ -39,7 +39,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use mpelog::clog2::ImageBlock;
 use mpelog::ids::EventId;
 use mpelog::record::{EventDef, Record, RecordView, StateDef};
-use mpelog::wire::Reader;
 use mpelog::Color;
 
 use crate::columnar::{DrawableColumns, KIND_STATE};
@@ -145,7 +144,8 @@ pub(crate) struct ChunkScan {
     opens: Vec<OpenState>,
     sends: Vec<(MsgKey, f64)>,
     recvs: Vec<(MsgKey, f64)>,
-    last_ts: f64,
+    ts_min: f64,
+    ts_max: f64,
     n_records: u64,
 }
 
@@ -164,13 +164,15 @@ fn scan_chunk<'a>(
         opens: Vec::new(),
         sends: Vec::new(),
         recvs: Vec::new(),
-        last_ts: f64::NEG_INFINITY,
+        ts_min: f64::INFINITY,
+        ts_max: f64::NEG_INFINITY,
         n_records: 0,
     };
     let mut stack: Vec<OpenState> = Vec::new();
     for rec in recs {
         c.n_records += 1;
-        c.last_ts = c.last_ts.max(rec.ts());
+        c.ts_min = c.ts_min.min(rec.ts());
+        c.ts_max = c.ts_max.max(rec.ts());
         match rec {
             RecordView::Event { ts, id, text } => match table.roles.get(&id.0) {
                 Some(IdRole::StateStart(cat)) => stack.push(OpenState {
@@ -241,6 +243,10 @@ fn scan_chunk<'a>(
 pub(crate) struct RankScan {
     pub(crate) rank: u32,
     pub(crate) n_records: u64,
+    /// The rank's earliest and latest record timestamps (`±inf` when it
+    /// has no records).
+    pub(crate) ts_min: f64,
+    pub(crate) ts_max: f64,
     pub(crate) cols: DrawableColumns,
     pub(crate) warnings: Vec<ConvertWarning>,
     pub(crate) sends: Vec<(MsgKey, f64)>,
@@ -254,6 +260,8 @@ impl RankScan {
         RankScan {
             rank,
             n_records: 0,
+            ts_min: f64::INFINITY,
+            ts_max: f64::NEG_INFINITY,
             cols: DrawableColumns::new(),
             warnings: Vec::new(),
             sends: Vec::new(),
@@ -267,7 +275,6 @@ impl RankScan {
 fn stitch_rank(rank: u32, chunks: Vec<ChunkScan>, table: &CategoryTable) -> RankScan {
     let mut out = RankScan::empty(rank);
     let mut carry: Vec<OpenState> = Vec::new();
-    let mut last_ts = f64::NEG_INFINITY;
 
     let single_clean = chunks.len() == 1 && chunks[0].pends.is_empty();
     if single_clean {
@@ -279,7 +286,7 @@ fn stitch_rank(rank: u32, chunks: Vec<ChunkScan>, table: &CategoryTable) -> Rank
         out.sends = c.sends;
         out.recvs = c.recvs;
         out.n_records = c.n_records;
-        last_ts = c.last_ts;
+        (out.ts_min, out.ts_max) = (c.ts_min, c.ts_max);
         carry = c.opens;
     } else {
         for c in chunks {
@@ -291,7 +298,8 @@ fn stitch_rank(rank: u32, chunks: Vec<ChunkScan>, table: &CategoryTable) -> Rank
                 opens,
                 sends,
                 recvs,
-                last_ts: chunk_last,
+                ts_min,
+                ts_max,
                 n_records,
             } = c;
             let mut warn_it = warns.into_iter();
@@ -357,7 +365,8 @@ fn stitch_rank(rank: u32, chunks: Vec<ChunkScan>, table: &CategoryTable) -> Rank
             carry.extend(opens);
             out.sends.extend(sends);
             out.recvs.extend(recvs);
-            last_ts = last_ts.max(chunk_last);
+            out.ts_min = out.ts_min.min(ts_min);
+            out.ts_max = out.ts_max.max(ts_max);
             out.n_records += n_records;
         }
     }
@@ -376,7 +385,7 @@ fn stitch_rank(rank: u32, chunks: Vec<ChunkScan>, table: &CategoryTable) -> Rank
             open.cat,
             TimelineId(rank),
             open.start,
-            last_ts.max(open.start),
+            out.ts_max.max(open.start),
             0,
             &open.text,
         );
@@ -391,7 +400,7 @@ fn stitch_rank(rank: u32, chunks: Vec<ChunkScan>, table: &CategoryTable) -> Rank
 }
 
 /// A scannable block: either decoded records or a zero-copy byte image
-/// (pre-chunked and pre-validated by `Clog2File::parse_image`).
+/// (pre-chunked and pre-validated by the image parse).
 pub(crate) enum BlockInput<'a> {
     Records(u32, &'a [Record]),
     Image(&'a ImageBlock<'a>),
@@ -420,19 +429,7 @@ impl BlockInput<'_> {
                 scan_chunk(*rank, recs[lo..hi].iter().map(RecordView::from), table)
             }
             BlockInput::Image(b) => match b.chunks.get(ci) {
-                Some(ch) => {
-                    let mut r = Reader::new(ch.data);
-                    let mut left = ch.n_records;
-                    let views = std::iter::from_fn(move || {
-                        if left == 0 {
-                            return None;
-                        }
-                        left -= 1;
-                        // parse_image fully validated every record.
-                        Some(Record::decode_view(&mut r).expect("records validated at parse"))
-                    });
-                    scan_chunk(b.rank, views, table)
-                }
+                Some(ch) => scan_chunk(b.rank, ch.views(), table),
                 None => scan_chunk(b.rank, std::iter::empty(), table),
             },
         }

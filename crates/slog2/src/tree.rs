@@ -117,71 +117,6 @@ pub struct FrameTree {
     pub max_depth: u32,
 }
 
-/// Incremental bulk-loader for [`FrameTree`].
-///
-/// Accepts drawables in batches (e.g. one CLOG2 block at a time from the
-/// streaming converter), tracking the global time range as it goes, and
-/// builds the tree once at the end. Items are kept in arrival order, so
-/// a builder fed the same drawables in the same order as
-/// [`FrameTree::build`] produces a bit-identical tree.
-#[derive(Debug, Clone, Default)]
-pub struct FrameTreeBuilder {
-    items: Vec<Drawable>,
-    t0: f64,
-    t1: f64,
-}
-
-impl FrameTreeBuilder {
-    /// Empty builder.
-    pub fn new() -> FrameTreeBuilder {
-        FrameTreeBuilder {
-            items: Vec::new(),
-            t0: f64::INFINITY,
-            t1: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one drawable.
-    pub fn push(&mut self, d: Drawable) {
-        self.t0 = self.t0.min(d.start());
-        self.t1 = self.t1.max(d.end());
-        self.items.push(d);
-    }
-
-    /// Add a batch of drawables, preserving their order.
-    pub fn extend(&mut self, batch: impl IntoIterator<Item = Drawable>) {
-        for d in batch {
-            self.push(d);
-        }
-    }
-
-    /// How many drawables are loaded.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Is the builder empty?
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// The observed `[min start, max end]` range, or `[0, 0]` if empty.
-    pub fn range(&self) -> TimeWindow {
-        if self.t0.is_finite() {
-            TimeWindow::new(self.t0, self.t1)
-        } else {
-            TimeWindow::new(0.0, 0.0)
-        }
-    }
-
-    /// Build the tree over the observed range, using up to
-    /// `parallelism` threads (`<= 1` builds serially).
-    pub fn build(self, capacity: usize, max_depth: u32, parallelism: usize) -> FrameTree {
-        let w = self.range();
-        FrameTree::build_with_parallelism(self.items, w.t0, w.t1, capacity, max_depth, parallelism)
-    }
-}
-
 impl FrameTree {
     /// Build a tree over `[t0, t1]` from `drawables`.
     ///
@@ -213,15 +148,7 @@ impl FrameTree {
         max_depth: u32,
         parallelism: usize,
     ) -> FrameTree {
-        let capacity = capacity.max(1);
-        // Each fork level doubles the worker count: budget = ceil(log2 n).
-        let forks = parallelism.max(1).next_power_of_two().trailing_zeros();
-        let root = build_node(drawables, t0, t1, 0, capacity, max_depth, forks);
-        FrameTree {
-            root,
-            capacity,
-            max_depth,
-        }
+        build_tree(&Owned, drawables, t0, t1, capacity, max_depth, parallelism)
     }
 
     /// Build a tree directly from columnar drawable storage.
@@ -229,8 +156,8 @@ impl FrameTree {
     /// The recursion partitions `u32` index vectors instead of moving
     /// 80-byte `Drawable` values, and only materializes enum rows once,
     /// at the node that finally owns them. The resulting tree is
-    /// bit-identical to [`build_with_parallelism`] over
-    /// `cols.to_drawable(0..len)` — pinned by a unit test below.
+    /// bit-identical to [`build_with_parallelism`](Self::build_with_parallelism)
+    /// over `cols.to_drawable(0..len)` — pinned by a unit test below.
     pub(crate) fn build_columnar(
         cols: &DrawableColumns,
         t0: f64,
@@ -239,15 +166,8 @@ impl FrameTree {
         max_depth: u32,
         parallelism: usize,
     ) -> FrameTree {
-        let capacity = capacity.max(1);
-        let forks = parallelism.max(1).next_power_of_two().trailing_zeros();
-        let idx: Vec<u32> = (0..cols.len() as u32).collect();
-        let root = build_node_cols(cols, idx, t0, t1, 0, capacity, max_depth, forks);
-        FrameTree {
-            root,
-            capacity,
-            max_depth,
-        }
+        let rows = (0..cols.len() as u32).collect();
+        build_tree(cols, rows, t0, t1, capacity, max_depth, parallelism)
     }
 
     /// All drawables overlapping the closed window `w`.
@@ -288,13 +208,90 @@ impl FrameTree {
     }
 }
 
-fn build_node(
-    items: Vec<Drawable>,
+/// What the build recursion partitions: row handles, how to read a
+/// row's category and interval, and how to materialize the rows a node
+/// finally keeps.
+trait Rows: Sync {
+    /// A row as it travels down the tree.
+    type Row: Send;
+    fn category_of(&self, row: &Self::Row) -> CategoryId;
+    /// The row's `(start, end)`, arrows normalized.
+    fn interval(&self, row: &Self::Row) -> (f64, f64);
+    fn drawables(&self, rows: Vec<Self::Row>) -> Vec<Drawable>;
+}
+
+/// Owned drawables, moved down the tree.
+struct Owned;
+
+impl Rows for Owned {
+    type Row = Drawable;
+
+    fn category_of(&self, d: &Drawable) -> CategoryId {
+        d.category()
+    }
+
+    fn interval(&self, d: &Drawable) -> (f64, f64) {
+        (d.start(), d.end())
+    }
+
+    fn drawables(&self, rows: Vec<Drawable>) -> Vec<Drawable> {
+        rows
+    }
+}
+
+/// Indices into columnar storage.
+impl Rows for DrawableColumns {
+    type Row = u32;
+
+    fn category_of(&self, &i: &u32) -> CategoryId {
+        self.category(i as usize)
+    }
+
+    fn interval(&self, &i: &u32) -> (f64, f64) {
+        (self.start(i as usize), self.end(i as usize))
+    }
+
+    fn drawables(&self, rows: Vec<u32>) -> Vec<Drawable> {
+        rows.iter().map(|&i| self.to_drawable(i as usize)).collect()
+    }
+}
+
+/// The split rule's fixed parameters.
+#[derive(Clone, Copy)]
+struct Split {
+    capacity: usize,
+    max_depth: u32,
+}
+
+fn build_tree<R: Rows>(
+    rows: &R,
+    items: Vec<R::Row>,
+    t0: f64,
+    t1: f64,
+    capacity: usize,
+    max_depth: u32,
+    parallelism: usize,
+) -> FrameTree {
+    let split = Split {
+        capacity: capacity.max(1),
+        max_depth,
+    };
+    // Each fork level doubles the worker count: budget = ceil(log2 n).
+    let forks = parallelism.max(1).next_power_of_two().trailing_zeros();
+    FrameTree {
+        root: build_node(rows, items, t0, t1, 0, split, forks),
+        capacity: split.capacity,
+        max_depth,
+    }
+}
+
+fn build_node<R: Rows>(
+    rows: &R,
+    items: Vec<R::Row>,
     t0: f64,
     t1: f64,
     depth: u32,
-    capacity: usize,
-    max_depth: u32,
+    split: Split,
     forks: u32,
 ) -> FrameNode {
     // The preview over the whole subtree is accumulated here, top-down,
@@ -304,17 +301,18 @@ fn build_node(
     // summation is association-sensitive, so the merge order must not
     // depend on how the recursion is scheduled.
     let mut preview = Preview::default();
-    for d in &items {
-        preview.add(d.category(), d.duration());
+    for row in &items {
+        let (start, end) = rows.interval(row);
+        preview.add(rows.category_of(row), end - start);
     }
 
-    let splittable = items.len() > capacity && depth < max_depth && t1 > t0;
+    let splittable = items.len() > split.capacity && depth < split.max_depth && t1 > t0;
     if !splittable {
         return FrameNode {
             t0,
             t1,
             depth,
-            drawables: items,
+            drawables: rows.drawables(items),
             preview,
             children: None,
         };
@@ -324,154 +322,47 @@ fn build_node(
     let mut here = Vec::new();
     let mut left = Vec::new();
     let mut right = Vec::new();
-    for d in items {
-        if d.end() <= mid {
-            left.push(d);
-        } else if d.start() >= mid {
-            right.push(d);
+    for row in items {
+        let (start, end) = rows.interval(&row);
+        if end <= mid {
+            left.push(row);
+        } else if start >= mid {
+            right.push(row);
         } else {
-            here.push(d);
+            here.push(row);
         }
     }
-    if left.is_empty() && right.is_empty() {
-        // Everything straddles the midpoint; splitting gains nothing.
-        return FrameNode {
-            t0,
-            t1,
-            depth,
-            drawables: here,
-            preview,
-            children: None,
-        };
-    }
-    // Fork the right subtree onto a scoped worker while this thread
-    // recurses left; tiny subtrees are not worth a thread spawn.
-    const FORK_THRESHOLD: usize = 4096;
-    let (lchild, rchild) = if forks > 0 && left.len().min(right.len()) >= FORK_THRESHOLD {
-        std::thread::scope(|s| {
-            let rh =
-                s.spawn(|| build_node(right, mid, t1, depth + 1, capacity, max_depth, forks - 1));
-            let l = build_node(left, t0, mid, depth + 1, capacity, max_depth, forks - 1);
-            (l, rh.join().expect("tree build worker panicked"))
-        })
-    } else {
-        // Sequential children: left's forked workers (if any) are joined
-        // before right starts, so the budget can pass down unchanged
-        // without exceeding the concurrency cap.
-        (
-            build_node(left, t0, mid, depth + 1, capacity, max_depth, forks),
-            build_node(right, mid, t1, depth + 1, capacity, max_depth, forks),
-        )
-    };
+    // Everything straddling the midpoint stays a leaf: splitting gains
+    // nothing.
+    let children = (!left.is_empty() || !right.is_empty()).then(|| {
+        // Fork the right subtree onto a scoped worker while this thread
+        // recurses left; tiny subtrees are not worth a thread spawn.
+        const FORK_THRESHOLD: usize = 4096;
+        let down = depth + 1;
+        if forks > 0 && left.len().min(right.len()) >= FORK_THRESHOLD {
+            std::thread::scope(|s| {
+                let rh = s.spawn(|| build_node(rows, right, mid, t1, down, split, forks - 1));
+                let l = build_node(rows, left, t0, mid, down, split, forks - 1);
+                Box::new((l, rh.join().expect("tree build worker panicked")))
+            })
+        } else {
+            // Sequential children: left's forked workers (if any) are
+            // joined before right starts, so the budget can pass down
+            // unchanged without exceeding the concurrency cap.
+            Box::new((
+                build_node(rows, left, t0, mid, down, split, forks),
+                build_node(rows, right, mid, t1, down, split, forks),
+            ))
+        }
+    });
     FrameNode {
         t0,
         t1,
         depth,
-        drawables: here,
+        drawables: rows.drawables(here),
         preview,
-        children: Some(Box::new((lchild, rchild))),
+        children,
     }
-}
-
-#[allow(clippy::too_many_arguments)] // mirrors build_node, plus the column store
-fn build_node_cols(
-    cols: &DrawableColumns,
-    items: Vec<u32>,
-    t0: f64,
-    t1: f64,
-    depth: u32,
-    capacity: usize,
-    max_depth: u32,
-    forks: u32,
-) -> FrameNode {
-    // Same top-down, in-order preview accumulation as `build_node`; see
-    // the comment there for why this ordering is load-bearing.
-    let mut preview = Preview::default();
-    for &i in &items {
-        preview.add(cols.category(i as usize), cols.duration(i as usize));
-    }
-
-    let splittable = items.len() > capacity && depth < max_depth && t1 > t0;
-    if !splittable {
-        return FrameNode {
-            t0,
-            t1,
-            depth,
-            drawables: materialize(cols, &items),
-            preview,
-            children: None,
-        };
-    }
-
-    let mid = t0 + (t1 - t0) / 2.0;
-    let mut here = Vec::new();
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    for i in items {
-        let (s, e) = (cols.start(i as usize), cols.end(i as usize));
-        if e <= mid {
-            left.push(i);
-        } else if s >= mid {
-            right.push(i);
-        } else {
-            here.push(i);
-        }
-    }
-    if left.is_empty() && right.is_empty() {
-        return FrameNode {
-            t0,
-            t1,
-            depth,
-            drawables: materialize(cols, &here),
-            preview,
-            children: None,
-        };
-    }
-    const FORK_THRESHOLD: usize = 4096;
-    let (lchild, rchild) = if forks > 0 && left.len().min(right.len()) >= FORK_THRESHOLD {
-        std::thread::scope(|s| {
-            let rh = s.spawn(|| {
-                build_node_cols(
-                    cols,
-                    right,
-                    mid,
-                    t1,
-                    depth + 1,
-                    capacity,
-                    max_depth,
-                    forks - 1,
-                )
-            });
-            let l = build_node_cols(
-                cols,
-                left,
-                t0,
-                mid,
-                depth + 1,
-                capacity,
-                max_depth,
-                forks - 1,
-            );
-            (l, rh.join().expect("tree build worker panicked"))
-        })
-    } else {
-        (
-            build_node_cols(cols, left, t0, mid, depth + 1, capacity, max_depth, forks),
-            build_node_cols(cols, right, mid, t1, depth + 1, capacity, max_depth, forks),
-        )
-    };
-    FrameNode {
-        t0,
-        t1,
-        depth,
-        drawables: materialize(cols, &here),
-        preview,
-        children: Some(Box::new((lchild, rchild))),
-    }
-}
-
-fn materialize(cols: &DrawableColumns, idx: &[u32]) -> Vec<Drawable> {
-    idx.iter().map(|&i| cols.to_drawable(i as usize)).collect()
 }
 
 impl Query for FrameTree {
@@ -755,39 +646,5 @@ mod tests {
             let columnar = FrameTree::build_columnar(&cols, 0.0, 20.1, 64, 16, threads);
             assert_eq!(columnar, reference, "{threads} threads");
         }
-    }
-
-    #[test]
-    fn builder_matches_direct_build() {
-        let ds = forking_input();
-        let (mut t0, mut t1) = (f64::INFINITY, f64::NEG_INFINITY);
-        for d in &ds {
-            t0 = t0.min(d.start());
-            t1 = t1.max(d.end());
-        }
-        let direct = FrameTree::build(ds.clone(), t0, t1, 32, 12);
-
-        // Feed the builder in uneven batches, as a streaming source would.
-        let mut b = FrameTreeBuilder::new();
-        let mut rest = ds;
-        let mut batch = 1;
-        while !rest.is_empty() {
-            let take = batch.min(rest.len());
-            b.extend(rest.drain(..take));
-            batch = batch * 3 + 1;
-        }
-        assert_eq!(b.len(), direct.total_drawables());
-        assert_eq!(b.range(), TimeWindow::new(t0, t1));
-        assert_eq!(b.build(32, 12, 4), direct);
-    }
-
-    #[test]
-    fn empty_builder_builds_empty_tree() {
-        let b = FrameTreeBuilder::new();
-        assert!(b.is_empty());
-        assert_eq!(b.range(), TimeWindow::new(0.0, 0.0));
-        let t = b.build(8, 4, 2);
-        assert_eq!(t.total_drawables(), 0);
-        assert_eq!(t, FrameTree::build(vec![], 0.0, 0.0, 8, 4));
     }
 }
