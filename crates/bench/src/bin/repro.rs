@@ -1,73 +1,38 @@
-//! `repro` — regenerate every table and figure of the paper.
+//! `repro` — regenerate every table and figure of the paper, and run the
+//! benches and oracles CI gates on.
 //!
-//! ```text
-//! cargo run -p bench --bin repro --release -- all
-//! cargo run -p bench --bin repro --release -- table1 [--files N] [--reps R]
-//! cargo run -p bench --bin repro --release -- fig1|fig2|fig3|fig4|fig5
-//! cargo run -p bench --bin repro --release -- legend|equal-drawables|clocksync
-//! cargo run -p bench --bin repro --release -- convert-bench [--reps R] [--parallel N]
-//!     [--drawables N --ranks R --budget-mb M]   # out-of-core scale mode
-//! cargo run -p bench --bin repro --release -- metrics [--workload NAME] [--parallel N]
-//! cargo run -p bench --bin repro --release -- faults [--seed S] [--runs R]
-//! cargo run -p bench --bin repro --release -- diagnose [--workload NAME|instance-a|instance-b]
-//! cargo run -p bench --bin repro --release -- diff [<before.pslog2> <after.pslog2>] [--workload instance-a-vs-fixed|instance-b-vs-fixed]
-//! cargo run -p bench --bin repro --release -- bench-diff [--baseline DIR] [--current DIR] [--max-regress-pct N] [--warn-only]
-//! cargo run -p bench --bin repro --release -- serve-chaos [--seed S] [--runs R] [--ops N]
-//! cargo run -p bench --bin repro --release -- list-workloads
-//! cargo run -p bench --bin repro --release -- explore [--seeds N]
-//! cargo run -p bench --bin repro --release -- sim-bench [--ranks N] [--seed S]
-//! ```
+//! `repro <subcommand> [flags]`; no subcommand runs `all`. `main` is one
+//! table of subcommands, [`COMMANDS`], which lists each one's flags and
+//! their defaults, over one flag parser, [`Args`]. It prints each
+//! subcommand's one-line `[time] <phase>: <seconds>` summary and maps its
+//! result to the exit status: 0 passed, 1 a check failed, 2 bad usage.
+//! Each subcommand's function documents what it checks and what it
+//! writes under `out/`. `--parallel N` sets the CLOG2→SLOG2 converter's
+//! worker-thread count for every experiment (0 = one per core); output
+//! files are byte-identical at any setting.
 //!
-//! `--parallel N` sets the CLOG2→SLOG2 converter's worker-thread count
-//! for every experiment (0 = one per core); output files are
-//! byte-identical at any setting. `convert-bench` times serial vs
-//! parallel vs streaming conversion over a ≥100k-drawable synthetic
-//! trace and writes `out/BENCH_convert.json` (including the `--metrics`
-//! instrumentation overhead). `metrics` runs a workload with the full
-//! observability stack attached, prints the merged registry, writes
-//! `out/METRICS.json` + `out/trace.json` (load the latter in
-//! `chrome://tracing` or <https://ui.perfetto.dev>), and exits 1 if the
-//! runtime counters disagree with the rendered log. `faults` runs the
-//! seeded crash-forensics matrix (deadlock, mid-run panic, torn spill,
-//! held message) and exits 1 unless every faulty run salvages into a
-//! valid SLOG2 with the right terminal verdict, deterministically
-//! across `--runs` repetitions; artifacts land in `out/FAULT_*`.
-//! `diagnose` runs the causal diagnosis engine over a workload trace
-//! and writes the machine-checkable verdicts to `out/DIAGNOSIS.json`
-//! plus a critical-path overlay SVG; the `instance-a`/`instance-b`
-//! workloads are the paper's two student submissions at paper scale
-//! (deterministic fixtures — byte-identical output across runs), and
-//! it exits 1 if the expected verdict is missing. `diff` compares two
-//! traces — either explicit `.pslog2` paths or a built-in
-//! before/after workload pair — and writes `out/DIFF.json` plus a
-//! stacked side-by-side SVG; the `instance-a-vs-fixed` workload is the
-//! acceptance check (exit 1 unless SerializedPhase is pronounced Fixed
-//! with recovered seconds). `bench-diff` gates `BENCH_*.json` reports
-//! in `--current` against committed baselines in `--baseline`, exiting
-//! 1 when any gated metric worsens by more than `--max-regress-pct`
-//! (pass `--warn-only` to report without failing, as pushes to main
-//! do). `list-workloads` enumerates the registry behind `--workload`.
-//! `explore` sweeps virtual-engine schedule seeds over the
-//! deadlock-cycle scenario and exits 1 unless every seed reaches the
-//! same terminal verdict, reruns are byte-identical, and at least two
-//! distinct schedules are observed. `sim-bench` runs the thousand-rank
-//! pipeline fixture under `Engine::Virtual`, demands a byte-identical
-//! CLOG2 digest across three runs inside a 10 s wall budget, and
-//! writes `out/BENCH_sim.json` for the perf gate.
+//! The benches and oracles run on `bench::harness`: repeat-and-compare
+//! for the determinism checks, paired off/on runs for the overhead
+//! gates, a checked `pilotd` client that fails any 429/503 without
+//! `Retry-After`, and one writer for every `out/` artifact (each JSON
+//! report records the host's `cores`).
 //!
-//! Every subcommand prints a one-line `[time] <phase>: <seconds>`
-//! summary when it finishes, metrics or not.
-//!
-//! SVGs and JSON reports land in `out/`. Absolute numbers will differ
-//! from the paper (its testbed was a cluster; ours is a rank-per-thread
-//! simulator on one host) — what must match is the *shape*: see
-//! EXPERIMENTS.md for the paper-vs-measured comparison.
+//! Absolute numbers will differ from the paper (its testbed was a
+//! cluster; ours is a rank-per-thread simulator on one host) — what
+//! must match is the *shape*: see EXPERIMENTS.md for the
+//! paper-vs-measured comparison.
 
+use std::collections::HashSet;
 use std::path::Path;
 
+use bench::harness::{
+    median_overhead, out_dir, repeat_and_compare, run_pairs, write_artifact, CheckedClient, Report,
+    Side, Tally,
+};
 use bench::{measure_overhead_cell, LoggingMode};
 use minimpi::{ClockConfig, World};
 use pilot::{PilotConfig, Services};
+use pilot_vis::json::Json;
 use slog2::{
     ConvertWarning, Converter, FailureKind, RankVerdict, SalvageReport, TimelineId, TornPolicy,
     TraceSource,
@@ -83,12 +48,6 @@ fn convert(clog: &mpelog::Clog2File, conv: Converter) -> (slog2::Slog2File, Vec<
         .convert(TraceSource::InMemory(clog))
         .expect("in-memory source cannot fail");
     (c.file, c.warnings)
-}
-
-fn out_dir() -> &'static Path {
-    let p = Path::new("out");
-    std::fs::create_dir_all(p).expect("create out/");
-    p
 }
 
 /// Converter worker-thread count, set once from `--parallel` (0 = one
@@ -107,22 +66,16 @@ fn named(outcome: &pilot::PilotOutcome) -> Converter {
         .parallelism(parallelism())
 }
 
-fn render_outcome(
-    outcome: &pilot::PilotOutcome,
-    path: &Path,
-    width: u32,
-    window: Option<slog2::TimeWindow>,
-) -> slog2::Slog2File {
+/// Convert a run's log and render it to `out/<name>` at `width` px.
+fn render_outcome(outcome: &pilot::PilotOutcome, name: &str, width: u32) -> slog2::Slog2File {
     let clog = outcome.clog().expect("run must have -pisvc=j");
     let (slog, warnings) = convert(clog, named(outcome));
     for w in &warnings {
         println!("  converter warning: {w}");
     }
-    let mut opts = jumpshot::RenderOptions::default().with_width(width);
-    opts.window = window;
+    let opts = jumpshot::RenderOptions::default().with_width(width);
     let svg = jumpshot::Renderer::render(&jumpshot::SvgRenderer, &slog, &opts);
-    std::fs::write(path, svg).expect("write svg");
-    println!("  wrote {}", path.display());
+    write_artifact(name, svg);
     slog
 }
 
@@ -191,7 +144,7 @@ fn fig1() -> pilot::PilotOutcome {
     let (outcome, result) = run_thumbnail(cfg, 10, params);
     assert!(outcome.is_clean(), "{outcome:?}");
     assert_eq!(result.unwrap(), expected_result(&params));
-    let slog = render_outcome(&outcome, &out_dir().join("fig1_thumbnail.svg"), 1400, None);
+    let slog = render_outcome(&outcome, "fig1_thumbnail.svg", 1400);
     println!(
         "  {} drawables across {} timelines over {:.3}s",
         slog.total_drawables(),
@@ -205,12 +158,11 @@ fn fig1() -> pilot::PilotOutcome {
         &slog,
         &jumpshot::RenderOptions::default().with_width(1000),
     );
-    std::fs::write(out_dir().join("fig1_histogram.svg"), hist).unwrap();
+    write_artifact("fig1_histogram.svg", hist);
     let compute = slog.category_by_name("Compute").unwrap().index;
     let decompressors: Vec<TimelineId> = (2..slog.timelines.len() as u32).map(TimelineId).collect();
     let imbalance = jumpshot::load_imbalance(&slog, compute, &decompressors, slog.range);
     println!("  decompressor load imbalance (max/min compute): {imbalance:.2}x");
-    println!("  wrote out/fig1_histogram.svg");
     outcome
 }
 
@@ -230,8 +182,7 @@ fn fig2(outcome: &pilot::PilotOutcome) {
             .with_window(window)
             .with_width(1400),
     );
-    std::fs::write(out_dir().join("fig2_zoom.svg"), svg).unwrap();
-    println!("  wrote out/fig2_zoom.svg");
+    write_artifact("fig2_zoom.svg", svg);
 
     // Quantify "Pilot I/O functions only take a small proportion of the
     // time" on the decompressor timelines (ranks 2..).
@@ -257,7 +208,7 @@ fn fig3() {
     let (outcome, result) = run_lab2(cfg, 5, 10_000, false);
     assert!(outcome.is_clean(), "{outcome:?}");
     assert_eq!(result.unwrap().grand_total, expected_total(10_000));
-    let slog = render_outcome(&outcome, &out_dir().join("fig3_lab2.svg"), 1280, None);
+    let slog = render_outcome(&outcome, "fig3_lab2.svg", 1280);
     // Structural check: each worker has 2 reads and 1 write; main has
     // 2W writes and W reads; 3 messages per worker = 3W arrows.
     let stats = slog2::legend_stats(&slog);
@@ -293,7 +244,7 @@ fn collision_fig(variant: CollisionVariant, outfile: &str) {
     assert!(outcome.is_clean(), "{outcome:?}");
     let result = result.unwrap();
     assert_eq!(result.answers, expected_answers(&params));
-    let slog = render_outcome(&outcome, &out_dir().join(outfile), 1400, None);
+    let slog = render_outcome(&outcome, outfile, 1400);
     let workers: Vec<TimelineId> = (1..=4).map(TimelineId).collect();
     let overlap = pilot_vis::parallel_overlap(&slog, &workers, None);
     // The query phase is the tail of the run; restricting the overlap
@@ -433,8 +384,6 @@ fn clocksync() {
 /// `drawables_per_sec_per_core`, which stays comparable across CI boxes
 /// with different core counts.
 fn convert_bench(reps: usize, parallel: usize) {
-    use pilot_vis::json::Json;
-
     let threads = Converter::new()
         .parallelism(parallel)
         .effective_parallelism();
@@ -444,6 +393,7 @@ fn convert_bench(reps: usize, parallel: usize) {
     );
     let clog = workloads::synthetic_clog(ranks, calls);
     let bytes = clog.to_bytes();
+    // A scratch input for the mmap row, removed below: not an artifact.
     let mmap_path = out_dir().join("convert_bench_input.pclog2");
     std::fs::write(&mmap_path, &bytes).expect("write mmap input");
 
@@ -480,38 +430,29 @@ fn convert_bench(reps: usize, parallel: usize) {
     });
     // Same parallel conversion with the obs registry + tracer attached:
     // the instrumentation must stay in the noise — asserted by CI's
-    // perf gate against this report. Measured as the median of *paired*
-    // plain/instrumented ratios in alternating order (the serve-bench
-    // trick): a load spike hits both halves of a pair, so the ratio
-    // stays honest where two medians taken minutes apart would not.
-    // Extra pairs (they are cheap) because this ratio is the one gated
-    // metric a noisy container can flip: more samples, tighter median.
-    let pairs = reps.max(1) * 3;
-    let mut ratios = Vec::with_capacity(pairs);
-    let mut metrics_s = 0.0;
-    for rep in 0..pairs {
-        let timed = |conv: &Converter| {
-            let t = std::time::Instant::now();
-            count(conv, TraceSource::InMemory(&clog));
-            t.elapsed().as_secs_f64()
+    // perf gate against this report — so it is measured in paired
+    // plain/instrumented runs, where a load spike hits both halves of a
+    // pair. Extra pairs (they are cheap) because this ratio is the one
+    // gated metric a noisy container can flip: more samples, tighter
+    // median.
+    let pairs = run_pairs(reps.max(1) * 3, |side| {
+        let instrumented;
+        let conv = match side {
+            Side::Off => &sharded,
+            Side::On => {
+                instrumented = Converter::new()
+                    .parallelism(threads)
+                    .observability(obs::Obs::handle());
+                &instrumented
+            }
         };
-        let instrumented_conv = Converter::new()
-            .parallelism(threads)
-            .observability(obs::Obs::handle());
-        // Alternate which half of the pair goes first so a warmup or
-        // cache effect inside a pair cannot masquerade as overhead.
-        let (plain, instrumented) = if rep % 2 == 0 {
-            let p = timed(&sharded);
-            (p, timed(&instrumented_conv))
-        } else {
-            let i = timed(&instrumented_conv);
-            (timed(&sharded), i)
-        };
-        ratios.push(instrumented / plain);
-        metrics_s = instrumented;
-    }
+        let t = std::time::Instant::now();
+        count(conv, TraceSource::InMemory(&clog));
+        t.elapsed().as_secs_f64()
+    });
+    let overhead = median_overhead(&pairs).expect("at least one pair");
+    let (metrics_s, metrics_overhead_pct) = (overhead.on, overhead.pct);
     let speedup = serial_s / parallel_s;
-    let metrics_overhead_pct = (bench::median(ratios) - 1.0) * 100.0;
     let per_core = drawables as f64 / (parallel_s * threads as f64);
     println!("  {drawables} drawables");
     println!("  serial    {serial_s:.4}s");
@@ -522,37 +463,30 @@ fn convert_bench(reps: usize, parallel: usize) {
     println!("  mmap      {mmap_s:.4}s  (zero-copy scan, {threads} threads)");
     println!("  metrics   {metrics_s:.4}s  (parallel + obs attached, {metrics_overhead_pct:+.2}% overhead)");
 
-    let report = Json::Obj(vec![
-        ("ranks".into(), Json::Num(ranks as f64)),
-        ("calls_per_rank".into(), Json::Num(calls as f64)),
-        ("drawables".into(), Json::Num(drawables as f64)),
-        ("reps".into(), Json::Num(reps as f64)),
-        ("threads".into(), Json::Num(threads as f64)),
-        ("serial_s".into(), Json::Num(serial_s)),
-        ("parallel_s".into(), Json::Num(parallel_s)),
-        ("streaming_s".into(), Json::Num(stream_s)),
-        ("mmap_s".into(), Json::Num(mmap_s)),
-        ("speedup".into(), Json::Num(speedup)),
-        ("drawables_per_sec_per_core".into(), Json::Num(per_core)),
-        ("metrics_s".into(), Json::Num(metrics_s)),
-        (
-            "metrics_overhead_pct".into(),
-            Json::Num(metrics_overhead_pct),
-        ),
-    ]);
-    let path = out_dir().join("BENCH_convert.json");
-    std::fs::write(&path, report.pretty()).expect("write BENCH_convert.json");
+    let mut report = Report::default();
+    report
+        .num("ranks", ranks as f64)
+        .num("calls_per_rank", calls as f64)
+        .num("drawables", drawables as f64)
+        .num("reps", reps as f64)
+        .num("threads", threads as f64)
+        .num("serial_s", serial_s)
+        .num("parallel_s", parallel_s)
+        .num("streaming_s", stream_s)
+        .num("mmap_s", mmap_s)
+        .num("speedup", speedup)
+        .num("drawables_per_sec_per_core", per_core)
+        .num("metrics_s", metrics_s)
+        .num("metrics_overhead_pct", metrics_overhead_pct);
+    report.write("BENCH_convert.json");
     let _ = std::fs::remove_file(&mmap_path);
-    println!("  wrote {}", path.display());
 }
 
 /// Out-of-core scale bench: synthesize a trace with ≈`target` drawables
 /// (streamed — never materialized), convert it under `budget_mb` with
 /// `convert_to_path`, and pin determinism by digest-comparing a second
-/// run and a differently-threaded run. Writes
-/// `out/BENCH_convert_scale.json`.
+/// serial run and a threaded run. Writes `out/BENCH_convert_scale.json`.
 fn convert_bench_scale(target: usize, ranks: usize, budget_mb: usize) -> bool {
-    use pilot_vis::json::Json;
     use workloads::SyntheticClogReader;
 
     // ≈ 2 drawables per rank-call (state + bubble-or-arrow).
@@ -561,91 +495,123 @@ fn convert_bench_scale(target: usize, ranks: usize, budget_mb: usize) -> bool {
         "== convert-bench --drawables {target}: {ranks} ranks x {calls} calls, {budget_mb} MiB budget =="
     );
     let out = out_dir().join("convert_scale.pslog2");
-    let run = |threads: usize| {
-        let src = TraceSource::reader(SyntheticClogReader::new(ranks, calls));
-        let conv = Converter::new()
-            .parallelism(threads)
-            .memory_budget(budget_mb << 20);
-        let start = std::time::Instant::now();
-        let summary = conv.convert_to_path(src, &out).expect("scale conversion");
-        (start.elapsed().as_secs_f64(), summary)
+    // Runs 0 and 1 are serial; run 2 uses every core (at least two).
+    let threaded = Converter::new().parallelism(0).effective_parallelism();
+    let first = repeat_and_compare(
+        3,
+        |run| {
+            let threads = if run < 2 { 1 } else { threaded.max(2) };
+            let src = TraceSource::reader(SyntheticClogReader::new(ranks, calls));
+            let conv = Converter::new()
+                .parallelism(threads)
+                .memory_budget(budget_mb << 20);
+            let start = std::time::Instant::now();
+            let summary = conv.convert_to_path(src, &out).expect("scale conversion");
+            let wall_s = start.elapsed().as_secs_f64();
+            println!(
+                "  run {run}: {threads} thread(s), digest {:016x} in {wall_s:.3}s",
+                summary.digest
+            );
+            Ok((wall_s, summary))
+        },
+        |(_, summary)| format!("{:016x}", summary.digest),
+    );
+    let _ = std::fs::remove_file(&out);
+    let (wall_s, summary) = match first {
+        Ok(first) => first,
+        Err(e) => {
+            println!("  FAIL: {e}");
+            return false;
+        }
     };
-    let (wall_s, summary) = run(1);
-    let (_, second) = run(1);
-    let threads = Converter::new().parallelism(0).effective_parallelism();
-    let (_, threaded) = run(threads.max(2));
-    let ok = summary.digest == second.digest && summary.digest == threaded.digest;
     let per_sec = summary.drawables as f64 / wall_s;
     println!(
         "  {} drawables -> {} nodes, {} bytes in {wall_s:.3}s ({per_sec:.0} drawables/s/core serial)",
         summary.drawables, summary.nodes, summary.bytes_written
     );
+    let digest = format!("{:016x}", summary.digest);
+    let mut report = Report::default();
+    report
+        .num("target_drawables", target as f64)
+        .num("ranks", ranks as f64)
+        .num("calls_per_rank", calls as f64)
+        .num("budget_mb", budget_mb as f64)
+        .num("drawables", summary.drawables as f64)
+        .num("nodes", summary.nodes as f64)
+        .num("bytes_written", summary.bytes_written as f64)
+        .num("wall_s", wall_s)
+        .num("drawables_per_sec_per_core", per_sec)
+        .put("digest", Json::Str(digest.clone()))
+        .put("deterministic", Json::Bool(true));
+    report.write("BENCH_convert_scale.json");
     println!(
-        "  digest {:016x}: repeat {} threaded({}) {}",
-        summary.digest,
-        if summary.digest == second.digest {
-            "match"
-        } else {
-            "MISMATCH"
-        },
-        threads.max(2),
-        if summary.digest == threaded.digest {
-            "match"
-        } else {
-            "MISMATCH"
-        },
+        "  convert-bench scale PASSED: digest {digest} identical across runs and thread counts"
     );
-    let report = Json::Obj(vec![
-        ("target_drawables".into(), Json::Num(target as f64)),
-        ("ranks".into(), Json::Num(ranks as f64)),
-        ("calls_per_rank".into(), Json::Num(calls as f64)),
-        ("budget_mb".into(), Json::Num(budget_mb as f64)),
-        ("drawables".into(), Json::Num(summary.drawables as f64)),
-        ("nodes".into(), Json::Num(summary.nodes as f64)),
-        (
-            "bytes_written".into(),
-            Json::Num(summary.bytes_written as f64),
-        ),
-        ("wall_s".into(), Json::Num(wall_s)),
-        ("drawables_per_sec_per_core".into(), Json::Num(per_sec)),
-        (
-            "digest".into(),
-            Json::Str(format!("{:016x}", summary.digest)),
-        ),
-        ("deterministic".into(), Json::Bool(ok)),
-    ]);
-    let path = out_dir().join("BENCH_convert_scale.json");
-    std::fs::write(&path, report.pretty()).expect("write BENCH_convert_scale.json");
-    let _ = std::fs::remove_file(&out);
-    println!("  wrote {}", path.display());
-    if ok {
-        println!("  convert-bench scale PASSED: digests identical across runs and thread counts");
-    }
-    ok
+    true
 }
 
-/// One measured serve-bench run: client latencies plus whatever the
-/// server itself observed.
+/// One measured serve-bench pass (or one client's share of it): client
+/// latencies plus whatever the server itself observed.
+#[derive(Default)]
 struct ServePass {
-    /// Client-measured per-request latencies, sorted ascending, ms.
+    /// Client-measured latencies of admitted requests, sorted ascending, ms.
     latencies_ms: Vec<f64>,
     wall_s: f64,
     /// Process CPU (user+sys) consumed by the replay, in clock ticks.
     cpu_ticks: Option<u64>,
+    /// Requests never admitted: a non-200 answer other than a shed, or
+    /// 25 attempts in a row shed or unanswered.
     errors: usize,
+    /// Admitted bodies that differ from the oracle's.
     mismatches: usize,
-    /// 429/503 load-shed rejects the clients retried through.
-    rejects: usize,
-    /// Rejects missing the `Retry-After` header (always a failure).
-    bad_rejects: usize,
+    /// The clients' response classes; their 429/503 rejects were retried.
+    tally: Tally,
     hits: u64,
     misses: u64,
     evictions: u64,
     singleflight_waits: u64,
     /// Parsed `/v1/obs/endpoints` body (traced passes only).
-    endpoints: Option<pilot_vis::json::Json>,
+    endpoints: Option<Json>,
     /// Raw `/v1/obs/flight` body (traced passes only).
     flight: Option<String>,
+}
+
+impl ServePass {
+    fn hit_rate(&self) -> f64 {
+        self.hits as f64 / ((self.hits + self.misses).max(1)) as f64
+    }
+
+    /// Why this pass fails serve-bench, if it does.
+    fn fault(&self) -> Option<String> {
+        let counts = [
+            (self.errors, "request(s) never admitted"),
+            (self.mismatches, "parity mismatch(es)"),
+            (self.tally.bad_rejects, "reject(s) without Retry-After"),
+        ];
+        if let Some((n, what)) = counts.iter().find(|(n, _)| *n > 0) {
+            return Some(format!("{n} {what}"));
+        }
+        if self.latencies_ms.is_empty() {
+            return Some("no request admitted".into());
+        }
+        let hit_rate = self.hit_rate();
+        (hit_rate < 0.9).then(|| format!("cache hit rate {hit_rate:.4} below 0.9"))
+    }
+}
+
+/// The first pass that fails serve-bench. Every pass is gated — the
+/// reported pass and both halves of every overhead pair, untraced ones
+/// included — so parity on the untraced server path is checked too.
+fn first_fault(report: &ServePass, pairs: &[(ServePass, ServePass)]) -> Option<String> {
+    let overhead = pairs.iter().enumerate().flat_map(|(k, (off, on))| {
+        [
+            (format!("pair {k} untraced"), off),
+            (format!("pair {k} traced"), on),
+        ]
+    });
+    std::iter::once(("report".to_string(), report))
+        .chain(overhead)
+        .find_map(|(name, pass)| Some(format!("{name} pass: {}", pass.fault()?)))
 }
 
 /// Nearest-index percentile over an ascending-sorted slice.
@@ -670,20 +636,48 @@ fn process_cpu_ticks() -> Option<u64> {
     Some(utime + stime)
 }
 
-/// Number of tile requests the server has finished, per
-/// `/v1/obs/endpoints`.
-fn server_tile_count(endpoints: &pilot_vis::json::Json) -> u64 {
-    use pilot_vis::json::Json;
+/// The tile endpoint's entry in a `/v1/obs/endpoints` body.
+fn tile_endpoint(endpoints: &Json) -> Option<&Json> {
     endpoints
         .get("endpoints")
-        .and_then(Json::as_arr)
-        .and_then(|eps| {
-            eps.iter()
-                .find(|e| e.get("endpoint").and_then(Json::as_str) == Some("tile"))
-        })
-        .and_then(|tile| tile.get("count"))
-        .and_then(Json::as_u64)
-        .unwrap_or(0)
+        .and_then(Json::as_arr)?
+        .iter()
+        .find(|e| e.get("endpoint").and_then(Json::as_str) == Some("tile"))
+}
+
+/// One client's share of a pass: replay `requests` `rounds` times on a
+/// checked keep-alive connection.
+fn replay(addr: &str, requests: &[(String, String)], rounds: usize) -> ServePass {
+    let mut share = ServePass::default();
+    let mut client = CheckedClient::new(addr);
+    for (path, want) in (0..rounds.max(1)).flat_map(|_| requests) {
+        // A loaded server may shed the request (429 from the accept
+        // queue, 503 past the deadline); a well-behaved client backs off
+        // and retries, and only admitted (200) requests count as latency
+        // samples. The checked client counts a reject without
+        // Retry-After and reconnects after a close or a dead connection.
+        let mut admitted = None;
+        for _attempt in 0..25 {
+            let start = std::time::Instant::now();
+            match client.send("GET", path, None) {
+                Some(resp) if resp.status == 200 => {
+                    admitted = Some((resp.body, start.elapsed()));
+                    break;
+                }
+                Some(resp) if !matches!(resp.status, 429 | 503) => break,
+                _ => std::thread::sleep(std::time::Duration::from_millis(5)),
+            }
+        }
+        match admitted {
+            Some((body, took)) => {
+                share.latencies_ms.push(took.as_secs_f64() * 1e3);
+                share.mismatches += usize::from(body != *want);
+            }
+            None => share.errors += 1,
+        }
+    }
+    share.tally = client.tally;
+    share
 }
 
 /// Load a fresh (cold-cache) service from `workload`, serve it with 8
@@ -692,21 +686,18 @@ fn server_tile_count(endpoints: &pilot_vis::json::Json) -> u64 {
 /// With `traced`, the observability plane is enabled and the pass also
 /// captures `/v1/obs/endpoints` and `/v1/obs/flight` — the obs probes
 /// run before the stats probe so the endpoint counts cover exactly the
-/// client replay. `expect_tiles` makes the endpoint probe poll briefly
-/// until the server has finished that many tile requests: a worker
-/// calls the plane's finish hook just *after* writing the response
-/// bytes, so a probe on another connection can otherwise outrun the
-/// final request's bookkeeping.
+/// client replay. The endpoint probe polls briefly until the server has
+/// finished every replayed tile request: a worker calls the plane's
+/// finish hook just *after* writing the response bytes, so a probe on
+/// another connection can otherwise outrun the final request's
+/// bookkeeping.
 fn run_serve_pass(
-    workload: &std::path::Path,
-    requests: &std::sync::Arc<Vec<(String, String)>>,
+    workload: &Path,
+    requests: &[(String, String)],
     clients: usize,
     rounds: usize,
     traced: bool,
-    expect_tiles: Option<u64>,
 ) -> ServePass {
-    use pilot_vis::json::Json;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -717,128 +708,56 @@ fn run_serve_pass(
     }
     let server = timeline::serve(Arc::clone(&app), "127.0.0.1:0", 8).expect("bind server");
     let addr = format!("127.0.0.1:{}", server.port());
-    let errors = Arc::new(AtomicUsize::new(0));
-    let mismatches = Arc::new(AtomicUsize::new(0));
-    let rejects = Arc::new(AtomicUsize::new(0));
-    let bad_rejects = Arc::new(AtomicUsize::new(0));
     let cpu_before = process_cpu_ticks();
     let wall = Instant::now();
-    let handles: Vec<_> = (0..clients.max(1))
-        .map(|_| {
-            let addr = addr.clone();
-            let requests = Arc::clone(requests);
-            let errors = Arc::clone(&errors);
-            let mismatches = Arc::clone(&mismatches);
-            let rejects = Arc::clone(&rejects);
-            let bad_rejects = Arc::clone(&bad_rejects);
-            std::thread::spawn(move || -> Vec<f64> {
-                let mut latencies_ms = Vec::with_capacity(rounds * requests.len());
-                let mut client = match timeline::Client::connect(&addr) {
-                    Ok(c) => c,
-                    Err(_) => {
-                        errors.fetch_add(rounds * requests.len(), Ordering::SeqCst);
-                        return latencies_ms;
-                    }
-                };
-                for _ in 0..rounds.max(1) {
-                    for (path, want) in requests.iter() {
-                        // A loaded server may shed the request (429 from
-                        // the accept queue, 503 past the deadline); a
-                        // well-behaved client backs off and retries, and
-                        // only admitted (200) requests count as latency
-                        // samples. A reject without Retry-After is a
-                        // server bug, counted separately.
-                        let mut admitted = false;
-                        for _attempt in 0..25 {
-                            let start = Instant::now();
-                            match client.send("GET", path, &[], None) {
-                                Ok(resp) if resp.status == 200 => {
-                                    latencies_ms.push(start.elapsed().as_secs_f64() * 1e3);
-                                    if resp.body != *want {
-                                        mismatches.fetch_add(1, Ordering::SeqCst);
-                                    }
-                                    admitted = true;
-                                    break;
-                                }
-                                Ok(resp) if matches!(resp.status, 429 | 503) => {
-                                    rejects.fetch_add(1, Ordering::SeqCst);
-                                    if resp.header("retry-after").is_none() {
-                                        bad_rejects.fetch_add(1, Ordering::SeqCst);
-                                    }
-                                    if resp.closed {
-                                        match timeline::Client::connect(&addr) {
-                                            Ok(c) => client = c,
-                                            Err(_) => break,
-                                        }
-                                    }
-                                    std::thread::sleep(std::time::Duration::from_millis(5));
-                                }
-                                Ok(_) => break,
-                                Err(_) => {
-                                    // Connection died (e.g. shed + close
-                                    // mid-parse); reconnect and retry.
-                                    match timeline::Client::connect(&addr) {
-                                        Ok(c) => client = c,
-                                        Err(_) => break,
-                                    }
-                                    std::thread::sleep(std::time::Duration::from_millis(5));
-                                }
-                            }
-                        }
-                        if !admitted {
-                            errors.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
-                }
-                latencies_ms
-            })
-        })
-        .collect();
-    let mut latencies: Vec<f64> = handles
-        .into_iter()
-        .flat_map(|h| h.join().expect("client thread"))
-        .collect();
-    let wall_s = wall.elapsed().as_secs_f64();
-    let cpu_ticks = process_cpu_ticks().zip(cpu_before).map(|(a, b)| a - b);
+    let shares: Vec<ServePass> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..clients.max(1))
+            .map(|_| s.spawn(|| replay(&addr, requests, rounds)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .collect()
+    });
+    let mut pass = ServePass::default();
+    for share in shares {
+        pass.latencies_ms.extend(share.latencies_ms);
+        pass.errors += share.errors;
+        pass.mismatches += share.mismatches;
+        pass.tally.merge(&share.tally);
+    }
+    pass.wall_s = wall.elapsed().as_secs_f64();
+    pass.cpu_ticks = process_cpu_ticks().zip(cpu_before).map(|(a, b)| a - b);
+    pass.latencies_ms.sort_by(f64::total_cmp);
 
     let mut probe = timeline::Client::connect(&addr).expect("stats probe");
-    let (endpoints, flight) = if traced {
+    if traced {
+        let expect_tiles = (clients.max(1) * rounds.max(1) * requests.len()) as u64;
         let deadline = Instant::now() + std::time::Duration::from_secs(2);
         let eps = loop {
             let (_, body) = probe.get("/v1/obs/endpoints").expect("obs endpoints");
             let v = Json::parse(&body).expect("endpoints json");
-            let settled = expect_tiles.is_none_or(|e| server_tile_count(&v) >= e);
-            if settled || Instant::now() >= deadline {
+            let done = tile_endpoint(&v)
+                .and_then(|tile| tile.get("count"))
+                .and_then(Json::as_u64)
+                .unwrap_or(0);
+            if done >= expect_tiles || Instant::now() >= deadline {
                 break v;
             }
             std::thread::sleep(std::time::Duration::from_millis(10));
         };
-        let (_, fl) = probe.get("/v1/obs/flight").expect("obs flight");
-        (Some(eps), Some(fl))
-    } else {
-        (None, None)
-    };
+        pass.endpoints = Some(eps);
+        pass.flight = Some(probe.get("/v1/obs/flight").expect("obs flight").1);
+    }
     let (_, stats_body) = probe.get("/v1/stats").expect("stats request");
     drop(server);
     let stats = Json::parse(&stats_body).expect("stats json");
     let count = |k: &str| stats.get(k).and_then(Json::as_u64).unwrap_or(0);
-
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
-    ServePass {
-        latencies_ms: latencies,
-        wall_s,
-        cpu_ticks,
-        errors: errors.load(Ordering::SeqCst),
-        mismatches: mismatches.load(Ordering::SeqCst),
-        rejects: rejects.load(Ordering::SeqCst),
-        bad_rejects: bad_rejects.load(Ordering::SeqCst),
-        hits: count("cache_hits"),
-        misses: count("cache_misses"),
-        evictions: count("cache_evictions"),
-        singleflight_waits: count("cache_singleflight_waits"),
-        endpoints,
-        flight,
-    }
+    pass.hits = count("cache_hits");
+    pass.misses = count("cache_misses");
+    pass.evictions = count("cache_evictions");
+    pass.singleflight_waits = count("cache_singleflight_waits");
+    pass
 }
 
 /// `repro serve-bench`: start an in-process `pilotd` server over a
@@ -847,29 +766,28 @@ fn run_serve_pass(
 /// byte-for-byte against a direct in-process query on a second,
 /// independently loaded service (the oracle), so the index, cache, and
 /// HTTP layer must all be invisible. Writes `out/BENCH_serve.json`
-/// (p50/p99 latency, cache hit rate) — the artifact CI's serve-smoke
-/// job uploads and gates on.
+/// (p50/p99 latency, cache hit rate) — the artifact CI's perf-gate job
+/// uploads and gates on.
 ///
-/// With `obs`, the bench runs twice from a cold cache — first with the
-/// observability plane off, then with it on. The report is taken from
-/// the traced pass (tracing is `pilotd serve`'s default) and gains the
-/// server's own per-phase view of the tile endpoint (queue, parse,
-/// cache, index, render, write p50/p99 in µs), `p50_notrace_ms` and
-/// `obs_overhead_pct` from the untraced pass, and a server-vs-client
-/// request-count cross-check. The flight recorder's Chrome trace-event
-/// dump of the slowest requests lands in `out/FLIGHT_serve.json`.
-/// Fails (exit 1 upstream) on parity mismatches, errors, a cold hit
-/// rate under 0.9, a request-count mismatch, or tracing overhead on
-/// client p50 above `max_overhead_pct`.
+/// With `obs`, the reported pass runs with the observability plane on
+/// (tracing is `pilotd serve`'s default) and is followed by five
+/// alternating untraced/traced pass pairs that measure the tracing
+/// overhead. The report gains the server's own per-phase view of the
+/// tile endpoint (queue, parse, cache, index, render, write p50/p99 in
+/// µs), `p50_notrace_ms` and `obs_overhead_pct` from the pairs, and a
+/// server-vs-client request-count cross-check. The flight recorder's
+/// Chrome trace-event dump of the slowest requests lands in
+/// `out/FLIGHT_serve.json`. Fails (exit 1 upstream) when any pass —
+/// reported or overhead, traced or not — has parity mismatches,
+/// errors, a reject without `Retry-After`, or a hit rate under 0.9, on
+/// a request-count mismatch, or when tracing overhead exceeds
+/// `max_overhead_pct`.
 fn serve_bench(clients: usize, obs_mode: bool, max_overhead_pct: f64) -> bool {
-    use pilot_vis::json::Json;
-    use std::sync::Arc;
-
     let path = out_dir().join("serve_workload.pslog2");
     if !path.exists() {
         let clog = workloads::synthetic_clog(8, 4_000);
         let (slog, _) = convert(&clog, Converter::new());
-        slog.write_to(&path).expect("write serve workload");
+        write_artifact("serve_workload.pslog2", slog.to_bytes());
     }
     let oracle = timeline::TimelineService::load(&path).expect("load oracle copy");
     let nranks = oracle.file().timelines.len() as u32;
@@ -885,7 +803,7 @@ fn serve_bench(clients: usize, obs_mode: bool, max_overhead_pct: f64) -> bool {
     // replay the identical path, so of `clients` requests for a given
     // tile exactly one is a miss — expected hit rate ≈ 1 - 1/clients.
     let mut requests: Vec<(String, String)> = Vec::new();
-    let mut unique = std::collections::HashSet::new();
+    let mut unique = HashSet::new();
     for zoom in 0u8..=6 {
         let n = 1u32 << zoom;
         let center = ((0.37 * n as f64) as u32).min(n - 1);
@@ -900,23 +818,14 @@ fn serve_bench(clients: usize, obs_mode: bool, max_overhead_pct: f64) -> bool {
             }
         }
     }
-    let requests = Arc::new(requests);
 
-    let expected_tiles = (clients.max(1) * requests.len()) as u64;
-    let pass = run_serve_pass(
-        &path,
-        &requests,
-        clients,
-        1,
-        obs_mode,
-        obs_mode.then_some(expected_tiles),
-    );
+    let pass = run_serve_pass(&path, &requests, clients, 1, obs_mode);
 
     let (p50_ms, p99_ms) = (
         pctile(&pass.latencies_ms, 0.50),
         pctile(&pass.latencies_ms, 0.99),
     );
-    let hit_rate = pass.hits as f64 / ((pass.hits + pass.misses).max(1)) as f64;
+    let hit_rate = pass.hit_rate();
     println!(
         "  {} requests ({} unique tiles) in {:.3}s",
         pass.latencies_ms.len(),
@@ -930,102 +839,70 @@ fn serve_bench(clients: usize, obs_mode: bool, max_overhead_pct: f64) -> bool {
     );
     println!(
         "  errors {}, parity mismatches {}, shed rejects retried {} (missing Retry-After: {})",
-        pass.errors, pass.mismatches, pass.rejects, pass.bad_rejects
+        pass.errors,
+        pass.mismatches,
+        pass.tally.rejects(),
+        pass.tally.bad_rejects
     );
 
-    let mut fields: Vec<(String, Json)> = vec![
-        ("clients".into(), Json::Num(clients as f64)),
-        ("requests".into(), Json::Num(pass.latencies_ms.len() as f64)),
-        ("unique_tiles".into(), Json::Num(unique.len() as f64)),
-        ("wall_s".into(), Json::Num(pass.wall_s)),
-        ("p50_ms".into(), Json::Num(p50_ms)),
-        ("p99_ms".into(), Json::Num(p99_ms)),
-        ("cache_hits".into(), Json::Num(pass.hits as f64)),
-        ("cache_misses".into(), Json::Num(pass.misses as f64)),
-        ("cache_evictions".into(), Json::Num(pass.evictions as f64)),
-        (
-            "singleflight_waits".into(),
-            Json::Num(pass.singleflight_waits as f64),
-        ),
-        ("hit_rate".into(), Json::Num(hit_rate)),
-        ("errors".into(), Json::Num(pass.errors as f64)),
-        (
-            "parity_mismatches".into(),
-            Json::Num(pass.mismatches as f64),
-        ),
-        ("shed_rejects".into(), Json::Num(pass.rejects as f64)),
-        ("bad_rejects".into(), Json::Num(pass.bad_rejects as f64)),
-    ];
+    let mut report = Report::default();
+    report
+        .num("clients", clients as f64)
+        .num("requests", pass.latencies_ms.len() as f64)
+        .num("unique_tiles", unique.len() as f64)
+        .num("wall_s", pass.wall_s)
+        .num("p50_ms", p50_ms)
+        .num("p99_ms", p99_ms)
+        .num("cache_hits", pass.hits as f64)
+        .num("cache_misses", pass.misses as f64)
+        .num("cache_evictions", pass.evictions as f64)
+        .num("singleflight_waits", pass.singleflight_waits as f64)
+        .num("hit_rate", hit_rate)
+        .num("errors", pass.errors as f64)
+        .num("parity_mismatches", pass.mismatches as f64)
+        .num("shed_rejects", pass.tally.rejects() as f64)
+        .num("bad_rejects", pass.tally.bad_rejects as f64);
 
-    let mut ok = pass.errors == 0
-        && pass.mismatches == 0
-        && pass.bad_rejects == 0
-        && hit_rate >= 0.9
-        && !pass.latencies_ms.is_empty();
-
+    let mut ok = true;
+    let mut pairs = Vec::new();
     if obs_mode {
         // Tracing overhead: five alternating off/on pass pairs (three
-        // replay rounds each), gated on the MEDIAN OF PER-PAIR DELTAS.
-        // Two sequential wall-clock passes on a shared or single-core
-        // box are scheduler-noise-dominated (client p50 swings ±15%
-        // run to run), so the gate runs on process CPU time when the
-        // platform can measure it — drift-immune. Each pair's two
-        // passes run back-to-back inside the same noise regime, so the
-        // within-pair delta cancels slow machine-wide drift, and the
-        // median across pairs rejects pairs that straddled a noise
-        // burst. Pair order alternates so drift that survives pairing
-        // doesn't always tax the same mode.
+        // replay rounds each), gated on the median per-pair delta. Two
+        // sequential wall-clock passes on a shared or single-core box
+        // are scheduler-noise-dominated (client p50 swings ±15% run to
+        // run), so the gate runs on process CPU time when the platform
+        // can measure it — drift-immune.
         const PAIRS: usize = 5;
-        let mut p50_pairs: Vec<(f64, f64)> = Vec::new();
-        let mut cpu_pairs: Vec<(f64, f64)> = Vec::new();
-        for pair in 0..PAIRS {
-            let (off, on) = if pair % 2 == 0 {
-                let off = run_serve_pass(&path, &requests, clients, 3, false, None);
-                let on = run_serve_pass(&path, &requests, clients, 3, true, None);
-                (off, on)
-            } else {
-                let on = run_serve_pass(&path, &requests, clients, 3, true, None);
-                let off = run_serve_pass(&path, &requests, clients, 3, false, None);
-                (off, on)
-            };
-            p50_pairs.push((
-                pctile(&off.latencies_ms, 0.50),
-                pctile(&on.latencies_ms, 0.50),
-            ));
-            if let (Some(a), Some(b)) = (off.cpu_ticks, on.cpu_ticks) {
-                cpu_pairs.push((a as f64, b as f64));
-            }
-        }
-        // The pair whose delta is the median of all pair deltas; its
-        // (off, on) readings are reported alongside the delta.
-        let median_pair = |pairs: &[(f64, f64)]| -> (f64, f64, f64) {
-            let mut deltas: Vec<(f64, f64, f64)> = pairs
+        pairs = run_pairs(PAIRS, |side| {
+            run_serve_pass(&path, &requests, clients, 3, side == Side::On)
+        });
+        // The median per-pair overhead of one reading of a pass.
+        let overhead = |reading: fn(&ServePass) -> Option<f64>| {
+            let readings: Vec<(f64, f64)> = pairs
                 .iter()
-                .map(|&(off, on)| ((on - off) / off.max(1e-9) * 100.0, off, on))
+                .filter_map(|(off, on)| Some((reading(off)?, reading(on)?)))
                 .collect();
-            deltas.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-            let (d, off, on) = deltas[deltas.len() / 2];
-            (off, on, d)
+            median_overhead(&readings)
         };
-        let (p50_off, p50_on, p50_overhead_pct) = median_pair(&p50_pairs);
+        let p50 = overhead(|p| Some(pctile(&p.latencies_ms, 0.5))).expect("PAIRS > 0");
         println!(
-            "  tracing overhead: p50 {p50_off:.3}ms off -> {p50_on:.3}ms on \
-             ({p50_overhead_pct:+.1}%, median pair delta of {PAIRS})"
+            "  tracing overhead: p50 {:.3}ms off -> {:.3}ms on ({:+.1}%, median pair delta of {PAIRS})",
+            p50.off, p50.on, p50.pct
         );
-        fields.push(("p50_notrace_ms".into(), Json::Num(p50_off)));
-        fields.push(("p50_overhead_pct".into(), Json::Num(p50_overhead_pct)));
-        let gated_overhead_pct = if cpu_pairs.is_empty() {
-            fields.push(("obs_overhead_pct".into(), Json::Num(p50_overhead_pct)));
-            p50_overhead_pct
-        } else {
-            let (cpu_off, cpu_on, cpu) = median_pair(&cpu_pairs);
-            println!(
-                "  tracing overhead: cpu {cpu_off:.0} -> {cpu_on:.0} ticks \
-                 ({cpu:+.1}%, median pair delta of {PAIRS})"
-            );
-            fields.push(("obs_overhead_pct".into(), Json::Num(cpu)));
-            cpu
+        report
+            .num("p50_notrace_ms", p50.off)
+            .num("p50_overhead_pct", p50.pct);
+        let gated_overhead_pct = match overhead(|p| Some(p.cpu_ticks? as f64)) {
+            None => p50.pct,
+            Some(cpu) => {
+                println!(
+                    "  tracing overhead: cpu {:.0} -> {:.0} ticks ({:+.1}%, median pair delta of {PAIRS})",
+                    cpu.off, cpu.on, cpu.pct
+                );
+                cpu.pct
+            }
         };
+        report.num("obs_overhead_pct", gated_overhead_pct);
         if gated_overhead_pct > max_overhead_pct {
             eprintln!(
                 "serve-bench FAILED: tracing overhead {gated_overhead_pct:.1}% exceeds {max_overhead_pct}% budget"
@@ -1034,32 +911,26 @@ fn serve_bench(clients: usize, obs_mode: bool, max_overhead_pct: f64) -> bool {
         }
 
         let eps = pass.endpoints.as_ref().expect("traced pass has endpoints");
-        let tile = eps
-            .get("endpoints")
-            .and_then(Json::as_arr)
-            .and_then(|eps| {
-                eps.iter()
-                    .find(|e| e.get("endpoint").and_then(Json::as_str) == Some("tile"))
-            })
-            .expect("tile endpoint in /v1/obs/endpoints");
+        let tile = tile_endpoint(eps).expect("tile endpoint in /v1/obs/endpoints");
 
         // The count oracle: the server must have finished exactly the
         // requests the clients measured, plus any shed attempts it
         // rejected on the tile endpoint (probes hit other endpoints).
         let server_requests = tile.get("count").and_then(Json::as_u64).unwrap_or(0);
-        fields.push(("server_requests".into(), Json::Num(server_requests as f64)));
+        report.num("server_requests", server_requests as f64);
         let admitted = pass.latencies_ms.len() as u64;
-        if server_requests < admitted || server_requests > admitted + pass.rejects as u64 {
+        let rejects = pass.tally.rejects() as u64;
+        if server_requests < admitted || server_requests > admitted + rejects {
             eprintln!(
-                "serve-bench FAILED: server finished {server_requests} tile requests, clients measured {admitted} admitted + {} rejects",
-                pass.rejects
+                "serve-bench FAILED: server finished {server_requests} tile requests, clients measured {admitted} admitted + {rejects} rejects"
             );
             ok = false;
         }
 
         let num = |v: &Json, k: &str| v.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-        fields.push(("tile_p50_us".into(), Json::Num(num(tile, "p50_us"))));
-        fields.push(("tile_p99_us".into(), Json::Num(num(tile, "p99_us"))));
+        report
+            .num("tile_p50_us", num(tile, "p50_us"))
+            .num("tile_p99_us", num(tile, "p99_us"));
         println!(
             "  server-side tile: p50 {:.0}us  p99 {:.0}us  (window {})",
             num(tile, "p50_us"),
@@ -1068,14 +939,9 @@ fn serve_bench(clients: usize, obs_mode: bool, max_overhead_pct: f64) -> bool {
         );
         if let Some(Json::Obj(phases)) = tile.get("phases") {
             for (phase, dist) in phases {
-                fields.push((
-                    format!("tile_{phase}_p50_us"),
-                    Json::Num(num(dist, "p50_us")),
-                ));
-                fields.push((
-                    format!("tile_{phase}_p99_us"),
-                    Json::Num(num(dist, "p99_us")),
-                ));
+                report
+                    .num(format!("tile_{phase}_p50_us"), num(dist, "p50_us"))
+                    .num(format!("tile_{phase}_p99_us"), num(dist, "p99_us"));
                 println!(
                     "    phase {phase:>6}: p50 {:>8.1}us  p99 {:>8.1}us  (observed in {} requests)",
                     num(dist, "p50_us"),
@@ -1091,25 +957,17 @@ fn serve_bench(clients: usize, obs_mode: bool, max_overhead_pct: f64) -> bool {
             );
         }
 
-        let flight_path = out_dir().join("FLIGHT_serve.json");
-        std::fs::write(&flight_path, pass.flight.as_ref().expect("traced flight"))
-            .expect("write FLIGHT_serve.json");
-        println!(
-            "  wrote {} (load at chrome://tracing)",
-            flight_path.display()
+        write_artifact(
+            "FLIGHT_serve.json",
+            pass.flight.as_ref().expect("traced flight"),
         );
     }
 
-    let report_path = out_dir().join("BENCH_serve.json");
-    std::fs::write(&report_path, Json::Obj(fields).pretty()).expect("write BENCH_serve.json");
-    println!("  wrote {}", report_path.display());
-
-    if !ok {
-        eprintln!(
-            "serve-bench FAILED: errors={} mismatches={} hit_rate={hit_rate:.4}",
-            pass.errors, pass.mismatches
-        );
+    if let Some(fault) = first_fault(&pass, &pairs) {
+        eprintln!("serve-bench FAILED: {fault}");
+        ok = false;
     }
+    report.write("BENCH_serve.json");
     ok
 }
 
@@ -1131,32 +989,13 @@ impl SplitMix64 {
     }
 }
 
-/// Everything one chaos run observes. The `transcript` is the
-/// deterministic core — a pure function of the seed — and its FNV-1a
-/// digest is what must match across `--runs`. Everything else is
-/// timing-dependent and reported outside the digest.
-#[derive(Default)]
-struct ChaosObserved {
-    parity_checks: usize,
-    malformed: usize,
-    status_2xx: usize,
-    status_4xx: usize,
-    rejects_429: usize,
-    rejects_503: usize,
-    bad_rejects: usize,
-    unexpected_status: usize,
-    loris_total: usize,
-    loris_408: usize,
-    garbage_total: usize,
-    garbage_clean: usize,
-    reconnects: usize,
-}
-
 /// One seeded chaos run against a fresh in-process server. Returns the
-/// transcript digest and the observation report, or `None` when an
-/// invariant failed (details on stderr).
-fn chaos_run(seed: u64, ops: usize) -> Option<(u64, Vec<(String, pilot_vis::json::Json)>)> {
-    use pilot_vis::json::Json;
+/// transcript digest and the observations, or why an invariant failed.
+/// The transcript is the deterministic core — a pure function of the
+/// seed — and its FNV-1a digest is what must match across `--runs`.
+/// Everything observed is timing-dependent and reported outside the
+/// digest.
+fn chaos_run(seed: u64, ops: usize) -> Result<(u64, Report), String> {
     use std::io::{Read as _, Write as _};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -1213,8 +1052,11 @@ fn chaos_run(seed: u64, ops: usize) -> Option<(u64, Vec<(String, pilot_vis::json
     }
 
     let mut rng = SplitMix64(seed);
-    let mut obs = ChaosObserved::default();
-    let mut client = timeline::Client::connect(&addr).expect("chaos client");
+    // The main client checks its own responses; `side` tallies the
+    // burst, racer, garbage and slow-loris connections.
+    let mut client = CheckedClient::new(&addr);
+    let mut side = Tally::default();
+    let (mut parity_checks, mut loris_cut_off, mut garbage_ops) = (0usize, 0usize, 0usize);
     let query_paths = [
         "/v1/info",
         "/v1/legend",
@@ -1231,42 +1073,6 @@ fn chaos_run(seed: u64, ops: usize) -> Option<(u64, Vec<(String, pilot_vis::json
     // all collide on the same ids.
     let id_pool = ["u0", "u1", "u2", "u3"];
 
-    // Classify a response on the persistent client; reconnects on
-    // transport errors (the server closes after caps/shed rejects).
-    let roundtrip = |client: &mut timeline::Client,
-                     obs: &mut ChaosObserved,
-                     method: &str,
-                     path: &str,
-                     body: Option<&[u8]>|
-     -> Option<timeline::HttpResponse> {
-        match client.send(method, path, &[], body) {
-            Ok(resp) => {
-                match resp.status {
-                    200 | 201 => obs.status_2xx += 1,
-                    429 => obs.rejects_429 += 1,
-                    503 => obs.rejects_503 += 1,
-                    400..=499 => obs.status_4xx += 1,
-                    _ => obs.unexpected_status += 1,
-                }
-                if matches!(resp.status, 429 | 503) && resp.header("retry-after").is_none() {
-                    obs.bad_rejects += 1;
-                }
-                let closed = resp.closed;
-                if closed {
-                    obs.reconnects += 1;
-                    *client = timeline::Client::connect(&addr).ok()?;
-                }
-                Some(resp)
-            }
-            Err(_) => {
-                obs.malformed += 1;
-                obs.reconnects += 1;
-                *client = timeline::Client::connect(&addr).ok()?;
-                None
-            }
-        }
-    };
-
     for op in 0..ops {
         let dice = rng.below(100);
         if dice < 45 {
@@ -1282,7 +1088,7 @@ fn chaos_run(seed: u64, ops: usize) -> Option<(u64, Vec<(String, pilot_vis::json
                 base.to_string()
             };
             transcript.push_str(&format!("op{op} query {path}\n"));
-            if let Some(resp) = roundtrip(&mut client, &mut obs, "GET", &path, None) {
+            if let Some(resp) = client.send("GET", &path, None) {
                 // Byte parity against the oracle for default-trace
                 // tiles (cache + index + HTTP must all be invisible).
                 if !on_upload && base.starts_with("/v1/tile") && resp.status == 200 {
@@ -1292,39 +1098,27 @@ fn chaos_run(seed: u64, ops: usize) -> Option<(u64, Vec<(String, pilot_vis::json
                         .collect();
                     let want = oracle.tile_json(q[0] as u32, q[1] as u8, q[2] as u32);
                     if want.as_deref().map(String::as_str) != Some(resp.body.as_str()) {
-                        eprintln!("chaos op{op}: tile parity mismatch on {base}");
-                        return None;
+                        return Err(format!("op{op}: tile parity mismatch on {base}"));
                     }
-                    obs.parity_checks += 1;
+                    parity_checks += 1;
                 }
             }
         } else if dice < 58 {
             let b = rng.below(good_bodies.len() as u64) as usize;
             let id = id_pool[rng.below(id_pool.len() as u64) as usize];
             transcript.push_str(&format!("op{op} upload id={id} body=good{b}\n"));
-            roundtrip(
-                &mut client,
-                &mut obs,
-                "POST",
-                &format!("/v1/traces?id={id}"),
-                Some(&good_bodies[b]),
-            );
+            let body = Some(good_bodies[b].as_slice());
+            client.send("POST", &format!("/v1/traces?id={id}"), body);
         } else if dice < 68 {
             // Torn upload: must register as salvaged (201) or be a
             // clean client error — never a 500.
             let b = rng.below(torn_bodies.len() as u64) as usize;
             let id = id_pool[rng.below(id_pool.len() as u64) as usize];
             transcript.push_str(&format!("op{op} torn-upload id={id} body=torn{b}\n"));
-            if let Some(resp) = roundtrip(
-                &mut client,
-                &mut obs,
-                "POST",
-                &format!("/v1/traces?id={id}"),
-                Some(&torn_bodies[b]),
-            ) {
+            let body = Some(torn_bodies[b].as_slice());
+            if let Some(resp) = client.send("POST", &format!("/v1/traces?id={id}"), body) {
                 if resp.status >= 500 {
-                    eprintln!("chaos op{op}: torn upload answered {}", resp.status);
-                    return None;
+                    return Err(format!("op{op}: torn upload answered {}", resp.status));
                 }
             }
         } else if dice < 76 {
@@ -1335,13 +1129,7 @@ fn chaos_run(seed: u64, ops: usize) -> Option<(u64, Vec<(String, pilot_vis::json
                 id_pool[rng.below(id_pool.len() as u64) as usize].to_string()
             };
             transcript.push_str(&format!("op{op} delete id={id}\n"));
-            roundtrip(
-                &mut client,
-                &mut obs,
-                "DELETE",
-                &format!("/v1/traces/{id}"),
-                None,
-            );
+            client.send("DELETE", &format!("/v1/traces/{id}"), None);
         } else if dice < 84 {
             // Raw byte garbage at the socket: the worker must answer a
             // well-formed 4xx or close cleanly, and survive.
@@ -1351,23 +1139,20 @@ fn chaos_run(seed: u64, ops: usize) -> Option<(u64, Vec<(String, pilot_vis::json
                 "op{op} garbage bytes={len} digest={:016x}\n",
                 timeline::fnv1a(&garbage)
             ));
-            obs.garbage_total += 1;
+            garbage_ops += 1;
             if let Ok(mut s) = std::net::TcpStream::connect(&addr) {
                 let _ = s.set_read_timeout(Some(Duration::from_secs(3)));
                 let _ = s.write_all(&garbage);
                 let _ = s.shutdown(std::net::Shutdown::Write);
                 let mut resp = Vec::new();
                 let _ = s.read_to_end(&mut resp);
-                if resp.is_empty() {
-                    obs.garbage_clean += 1;
-                } else if resp.starts_with(b"HTTP/1.1 4") || resp.starts_with(b"HTTP/1.1 5") {
-                    obs.status_4xx += 1;
-                } else {
-                    eprintln!(
-                        "chaos op{op}: garbage got a non-error response: {:?}",
+                if resp.starts_with(b"HTTP/1.1 4") || resp.starts_with(b"HTTP/1.1 5") {
+                    side.client_errors += 1;
+                } else if !resp.is_empty() {
+                    return Err(format!(
+                        "op{op}: garbage got a non-error response: {:?}",
                         String::from_utf8_lossy(&resp[..resp.len().min(60)])
-                    );
-                    return None;
+                    ));
                 }
             }
         } else if dice < 91 {
@@ -1376,7 +1161,6 @@ fn chaos_run(seed: u64, ops: usize) -> Option<(u64, Vec<(String, pilot_vis::json
             // 429 if the connection was shed before reading) — instead
             // of pinning a worker until the client gives up.
             transcript.push_str(&format!("op{op} slow-loris\n"));
-            obs.loris_total += 1;
             if let Ok(mut s) = std::net::TcpStream::connect(&addr) {
                 let _ = s.set_read_timeout(Some(Duration::from_secs(6)));
                 let _ = s.write_all(b"GET /v1/quer");
@@ -1385,19 +1169,19 @@ fn chaos_run(seed: u64, ops: usize) -> Option<(u64, Vec<(String, pilot_vis::json
                 let _ = s.read_to_end(&mut resp);
                 let cut = started.elapsed() < Duration::from_secs(4);
                 if resp.starts_with(b"HTTP/1.1 408") {
-                    obs.loris_408 += 1;
+                    loris_cut_off += 1;
                 } else if resp.starts_with(b"HTTP/1.1 4") {
-                    obs.status_4xx += 1;
+                    side.client_errors += 1;
                 } else if !resp.is_empty() {
-                    eprintln!(
-                        "chaos op{op}: slow-loris got {:?}",
+                    return Err(format!(
+                        "op{op}: slow-loris got {:?}",
                         String::from_utf8_lossy(&resp[..resp.len().min(60)])
-                    );
-                    return None;
+                    ));
                 }
                 if !cut {
-                    eprintln!("chaos op{op}: slow-loris pinned a worker past the stall deadline");
-                    return None;
+                    return Err(format!(
+                        "op{op}: slow-loris pinned a worker past the stall deadline"
+                    ));
                 }
             }
         } else if dice < 96 {
@@ -1411,40 +1195,18 @@ fn chaos_run(seed: u64, ops: usize) -> Option<(u64, Vec<(String, pilot_vis::json
                 .map(|_| {
                     let addr = addr.clone();
                     let path = path.clone();
-                    std::thread::spawn(move || -> Result<(u16, bool), String> {
-                        let mut c = timeline::Client::connect(&addr)
-                            .map_err(|e| format!("connect: {e}"))?;
-                        match c.send("GET", &path, &[], None) {
-                            Ok(r) => Ok((r.status, r.header("retry-after").is_some())),
-                            Err(e) => Err(format!("send: {e}")),
-                        }
+                    // A reject can land while the request is still being
+                    // written; the resulting broken pipe (a transport
+                    // error here) is a clean shed, not a malformed answer.
+                    std::thread::spawn(move || {
+                        let mut c = CheckedClient::new(&addr);
+                        c.send("GET", &path, None);
+                        c.tally
                     })
                 })
                 .collect();
             for h in handles {
-                match h.join().expect("burst thread") {
-                    Ok((200, _)) => obs.status_2xx += 1,
-                    Ok((429, retry)) => {
-                        obs.rejects_429 += 1;
-                        if !retry {
-                            obs.bad_rejects += 1;
-                        }
-                    }
-                    Ok((503, retry)) => {
-                        obs.rejects_503 += 1;
-                        if !retry {
-                            obs.bad_rejects += 1;
-                        }
-                    }
-                    Ok((other, _)) if (400..500).contains(&other) => obs.status_4xx += 1,
-                    Ok((other, _)) => {
-                        eprintln!("chaos op{op}: burst got status {other}");
-                        return None;
-                    }
-                    // A reject can land while the request is still being
-                    // written; the resulting broken pipe is a clean shed.
-                    Err(_) => obs.reconnects += 1,
-                }
+                side.merge(&h.join().expect("burst thread"));
             }
         } else {
             // Evict-while-querying race: hammer one uploaded id from a
@@ -1454,38 +1216,21 @@ fn chaos_run(seed: u64, ops: usize) -> Option<(u64, Vec<(String, pilot_vis::json
             let victim = id_pool[rng.below(id_pool.len() as u64) as usize];
             let b = rng.below(good_bodies.len() as u64) as usize;
             transcript.push_str(&format!("op{op} evict-race victim={victim} body=good{b}\n"));
-            let _ = roundtrip(
-                &mut client,
-                &mut obs,
-                "POST",
-                &format!("/v1/traces?id={victim}"),
-                Some(&good_bodies[b]),
-            );
+            let body = Some(good_bodies[b].as_slice());
+            client.send("POST", &format!("/v1/traces?id={victim}"), body);
             let racer = {
                 let addr = addr.clone();
-                let victim = victim.to_string();
-                std::thread::spawn(move || -> Result<Vec<u16>, String> {
-                    let mut c = timeline::Client::connect(&addr).map_err(|e| e.to_string())?;
-                    let mut statuses = Vec::new();
+                let path = format!("/v1/query?t0=0&t1=30&trace={victim}");
+                std::thread::spawn(move || -> Result<Tally, String> {
+                    let mut c = CheckedClient::new(&addr);
                     for _ in 0..10 {
-                        match c.send(
-                            "GET",
-                            &format!("/v1/query?t0=0&t1=30&trace={victim}"),
-                            &[],
-                            None,
-                        ) {
-                            Ok(r) => {
-                                let closed = r.closed;
-                                statuses.push(r.status);
-                                if closed {
-                                    c = timeline::Client::connect(&addr)
-                                        .map_err(|e| e.to_string())?;
-                                }
-                            }
-                            Err(e) => return Err(e.to_string()),
+                        match c.send("GET", &path, None) {
+                            Some(r) if matches!(r.status, 200 | 404 | 429 | 503) => {}
+                            Some(r) => return Err(format!("status {}", r.status)),
+                            None => return Err("a transport error".into()),
                         }
                     }
-                    Ok(statuses)
+                    Ok(c.tally)
                 })
             };
             // Evict the victim by uploading fresh traces under other
@@ -1494,33 +1239,12 @@ fn chaos_run(seed: u64, ops: usize) -> Option<(u64, Vec<(String, pilot_vis::json
                 let other =
                     id_pool[((rng.below(id_pool.len() as u64) + k) as usize + 1) % id_pool.len()];
                 let gb = rng.below(good_bodies.len() as u64) as usize;
-                let _ = roundtrip(
-                    &mut client,
-                    &mut obs,
-                    "POST",
-                    &format!("/v1/traces?id={other}"),
-                    Some(&good_bodies[gb]),
-                );
+                let body = Some(good_bodies[gb].as_slice());
+                client.send("POST", &format!("/v1/traces?id={other}"), body);
             }
             match racer.join().expect("racer thread") {
-                Ok(statuses) => {
-                    for s in statuses {
-                        match s {
-                            200 => obs.status_2xx += 1,
-                            404 => obs.status_4xx += 1,
-                            429 => obs.rejects_429 += 1,
-                            503 => obs.rejects_503 += 1,
-                            other => {
-                                eprintln!("chaos op{op}: evict race got status {other}");
-                                return None;
-                            }
-                        }
-                    }
-                }
-                Err(e) => {
-                    eprintln!("chaos op{op}: evict racer transport error: {e}");
-                    return None;
-                }
+                Ok(tally) => side.merge(&tally),
+                Err(e) => return Err(format!("op{op}: evict racer got {e}")),
             }
         }
     }
@@ -1529,7 +1253,10 @@ fn chaos_run(seed: u64, ops: usize) -> Option<(u64, Vec<(String, pilot_vis::json
     let mut probe = timeline::Client::connect(&addr).expect("liveness probe");
     let (alive_status, _) = probe.get("/v1/info").expect("liveness request");
     drop(probe);
+    let main = client.tally;
     drop(client);
+    let mut all = main;
+    all.merge(&side);
 
     // Graceful drain must converge with nothing abandoned.
     let report = server.drain(std::time::Duration::from_secs(10));
@@ -1545,10 +1272,10 @@ fn chaos_run(seed: u64, ops: usize) -> Option<(u64, Vec<(String, pilot_vis::json
             "no_worker_panics",
             snap.counter("serve.http.worker_panic") == 0,
         ),
-        ("no_malformed_responses", obs.malformed == 0),
-        ("no_unexpected_statuses", obs.unexpected_status == 0),
-        ("rejects_carry_retry_after", obs.bad_rejects == 0),
-        ("parity_held", obs.parity_checks > 0),
+        ("no_malformed_responses", main.transport_errors == 0),
+        ("no_unexpected_statuses", all.unexpected == 0),
+        ("rejects_carry_retry_after", all.bad_rejects == 0),
+        ("parity_held", parity_checks > 0),
         ("server_alive_after_mix", alive_status == 200),
         ("drained_cleanly", report.drained),
         ("no_leaked_in_flight", gauge("serve.http.in_flight") == 0),
@@ -1562,43 +1289,38 @@ fn chaos_run(seed: u64, ops: usize) -> Option<(u64, Vec<(String, pilot_vis::json
             occupancy.bytes <= occupancy.budget,
         ),
     ];
-    let mut ok = true;
-    for (name, held) in &invariants {
-        if !held {
-            eprintln!("chaos INVARIANT FAILED: {name}");
-            ok = false;
-        }
-    }
-    if !ok {
-        return None;
+    let failed: Vec<&str> = invariants
+        .iter()
+        .filter(|(_, held)| !held)
+        .map(|(name, _)| *name)
+        .collect();
+    if !failed.is_empty() {
+        return Err(format!("invariant(s) failed: {}", failed.join(", ")));
     }
 
     let digest = timeline::fnv1a(transcript.as_bytes());
-    let fields: Vec<(String, Json)> = vec![
-        ("status_2xx".into(), Json::Num(obs.status_2xx as f64)),
-        ("status_4xx".into(), Json::Num(obs.status_4xx as f64)),
-        ("rejects_429".into(), Json::Num(obs.rejects_429 as f64)),
-        ("rejects_503".into(), Json::Num(obs.rejects_503 as f64)),
-        ("parity_checks".into(), Json::Num(obs.parity_checks as f64)),
-        ("loris_cut_off".into(), Json::Num(obs.loris_408 as f64)),
-        ("garbage_ops".into(), Json::Num(obs.garbage_total as f64)),
-        ("reconnects".into(), Json::Num(obs.reconnects as f64)),
-        (
-            "registry_evictions".into(),
-            Json::Num(occupancy.evictions as f64),
-        ),
-        ("registry_bytes".into(), Json::Num(occupancy.bytes as f64)),
-        (
-            "invariants".into(),
-            Json::Obj(
-                invariants
-                    .iter()
-                    .map(|(n, h)| ((*n).to_string(), Json::Bool(*h)))
-                    .collect(),
-            ),
-        ),
-    ];
-    Some((digest, fields))
+    let held = invariants
+        .iter()
+        .map(|(n, h)| ((*n).to_string(), Json::Bool(*h)));
+    let mut observed = Report::default();
+    observed
+        .num("status_2xx", all.ok as f64)
+        .num("status_4xx", all.client_errors as f64)
+        .num("rejects_429", all.rejects_429 as f64)
+        .num("rejects_503", all.rejects_503 as f64)
+        .num("parity_checks", parity_checks as f64)
+        .num("loris_cut_off", loris_cut_off as f64)
+        .num("garbage_ops", garbage_ops as f64)
+        // Connections the main client re-opened, plus the bursts'
+        // broken pipes (clean sheds that cost the client a connection).
+        .num(
+            "reconnects",
+            (main.connects.saturating_sub(1) + side.transport_errors) as f64,
+        )
+        .num("registry_evictions", occupancy.evictions as f64)
+        .num("registry_bytes", occupancy.bytes as f64)
+        .put("invariants", Json::Obj(held.collect()));
+    Ok((digest, observed))
 }
 
 /// `repro serve-chaos`: drive a seeded adversarial client mix —
@@ -1611,49 +1333,39 @@ fn chaos_run(seed: u64, ops: usize) -> Option<(u64, Vec<(String, pilot_vis::json
 /// seeded schedule digest is identical across `--runs` repetitions.
 /// Writes `out/CHAOS.json`.
 fn serve_chaos(seed: u64, runs: usize, ops: usize) -> bool {
-    use pilot_vis::json::Json;
     println!("# serve-chaos — seeded adversarial mix, seed {seed}, {ops} ops x {runs} run(s)");
-    let mut digests: Vec<u64> = Vec::new();
-    let mut last_fields = None;
-    for run in 0..runs.max(1) {
-        let started = std::time::Instant::now();
-        match chaos_run(seed, ops) {
-            Some((digest, fields)) => {
-                println!(
-                    "  run {run}: digest {digest:016x} in {:.2}s",
-                    started.elapsed().as_secs_f64()
-                );
-                digests.push(digest);
-                last_fields = Some(fields);
-            }
-            None => {
-                eprintln!("serve-chaos FAILED: invariant violated in run {run} (seed {seed})");
-                return false;
-            }
+    let mut observed = None;
+    let first = repeat_and_compare(
+        runs,
+        |run| {
+            let started = std::time::Instant::now();
+            let (digest, seen) = chaos_run(seed, ops)?;
+            println!(
+                "  run {run}: digest {digest:016x} in {:.2}s",
+                started.elapsed().as_secs_f64()
+            );
+            observed = Some(seen);
+            Ok(digest)
+        },
+        |digest| format!("{digest:016x}"),
+    );
+    let digest = match first {
+        Ok(digest) => digest,
+        Err(e) => {
+            eprintln!("serve-chaos FAILED (seed {seed}): {e}");
+            return false;
         }
-    }
-    let deterministic = digests.windows(2).all(|w| w[0] == w[1]);
-    if !deterministic {
-        eprintln!("serve-chaos FAILED: digests differ across runs: {digests:x?}");
-    }
-
-    let mut fields: Vec<(String, Json)> = vec![
-        ("seed".into(), Json::Num(seed as f64)),
-        ("runs".into(), Json::Num(digests.len() as f64)),
-        ("ops".into(), Json::Num(ops as f64)),
-        (
-            "digest".into(),
-            Json::Str(format!("{:016x}", digests.first().copied().unwrap_or(0))),
-        ),
-        ("deterministic".into(), Json::Bool(deterministic)),
-    ];
-    if let Some(observed) = last_fields {
-        fields.push(("observed".into(), Json::Obj(observed)));
-    }
-    let path = out_dir().join("CHAOS.json");
-    std::fs::write(&path, Json::Obj(fields).pretty()).expect("write CHAOS.json");
-    println!("  wrote {}", path.display());
-    deterministic
+    };
+    let mut report = Report::default();
+    report
+        .num("seed", seed as f64)
+        .num("runs", runs.max(1) as f64)
+        .num("ops", ops as f64)
+        .put("digest", Json::Str(format!("{digest:016x}")))
+        .put("deterministic", Json::Bool(true))
+        .put("observed", observed.expect("a run passed").into_json());
+    report.write("CHAOS.json");
+    true
 }
 
 /// `repro metrics`: run a workload with the observability stack wired
@@ -1662,18 +1374,17 @@ fn serve_chaos(seed: u64, runs: usize, ops: usize) -> bool {
 /// `out/METRICS.json` + `out/trace.json`, and cross-check the runtime
 /// counters against the rendered log. Returns whether the cross-check
 /// passed.
-fn metrics(workload: &str, parallel: usize) -> bool {
+fn metrics(workload: &str, parallel: usize) -> Result<bool, String> {
     println!("# metrics — {workload} workload with the obs stack attached");
     let o = obs::Obs::handle();
     // Workloads resolve through the registry: every `--workload` name
     // the rest of the CLI understands works here too, each one
     // self-checking its oracle inside `run`.
     let Some(w) = workloads::workload_by_name(workload) else {
-        eprintln!(
+        return Err(format!(
             "unknown workload '{workload}'; try: {}",
             workloads::workload_names().join(" ")
-        );
-        std::process::exit(2);
+        ));
     };
     let ranks = (w.min_capacity() + 1).max(6);
     let cfg = PilotConfig::new(ranks)
@@ -1691,29 +1402,23 @@ fn metrics(workload: &str, parallel: usize) -> bool {
     for w in &warnings {
         println!("  converter warning: {w}");
     }
-    let slog_path = out_dir().join(format!("metrics_{workload}.pslog2"));
     {
         let _span = o.span("write", "convert", 0);
-        slog.write_to(&slog_path).expect("write slog2");
+        write_artifact(&format!("metrics_{workload}.pslog2"), slog.to_bytes());
     }
 
     let snap = o.snapshot();
     print!("{}", snap.to_prometheus_text());
-    let metrics_path = out_dir().join("METRICS.json");
-    std::fs::write(&metrics_path, snap.to_json()).expect("write METRICS.json");
-    let trace_path = out_dir().join("trace.json");
-    std::fs::write(&trace_path, o.tracer.to_chrome_json()).expect("write trace.json");
+    write_artifact("METRICS.json", snap.to_json());
+    write_artifact("trace.json", o.tracer.to_chrome_json());
     println!(
-        "  wrote {}, {} ({} spans; open in chrome://tracing or ui.perfetto.dev), {}",
-        metrics_path.display(),
-        trace_path.display(),
-        o.tracer.len(),
-        slog_path.display(),
+        "  trace.json holds {} spans; open it in chrome://tracing or ui.perfetto.dev",
+        o.tracer.len()
     );
 
     let cc = pilot_vis::counters_vs_trace(&slog, &snap);
     println!("  {cc}");
-    cc.passed()
+    Ok(cc.passed())
 }
 
 /// What the fault matrix records about one faulty run. `digest` is the
@@ -1846,107 +1551,66 @@ fn faults(seed: u64, runs: usize) -> bool {
     let runs = runs.max(1);
     println!("# faults — crash-forensics matrix (seed {seed}, {runs} run(s) per scenario)");
     use bench::scenarios::{self, ScenarioCfg, ScenarioFn};
+    use FailureKind::{Aborted, Deadlocked};
     let scenarios: [(&'static str, ScenarioFn, FailureKind, bool); 4] = [
-        (
-            "deadlock",
-            scenarios::fault_deadlock,
-            FailureKind::Deadlocked,
-            false,
-        ),
-        ("panic", scenarios::fault_panic, FailureKind::Aborted, false),
-        (
-            "torn-spill",
-            scenarios::fault_torn_spill,
-            FailureKind::Aborted,
-            true,
-        ),
-        (
-            "stall",
-            scenarios::fault_stall,
-            FailureKind::Deadlocked,
-            false,
-        ),
+        ("deadlock", scenarios::fault_deadlock, Deadlocked, false),
+        ("panic", scenarios::fault_panic, Aborted, false),
+        ("torn-spill", scenarios::fault_torn_spill, Aborted, true),
+        ("stall", scenarios::fault_stall, Deadlocked, false),
     ];
     let mut ok = true;
     for (name, run_fn, kind, want_torn) in scenarios {
         println!("== {name} ==");
-        let mut first: Option<Forensics> = None;
-        for i in 0..runs {
-            let (outcome, dir) = run_fn(&ScenarioCfg::wall(seed));
-            let f = forensics(name, seed, &outcome, &dir);
-            let _ = std::fs::remove_dir_all(&dir);
-            let f = match f {
-                Ok(f) => f,
-                Err(e) => {
-                    println!("  FAIL: {e}");
-                    ok = false;
-                    break;
-                }
-            };
-            match &first {
-                Some(f0) => {
-                    if f0.digest != f.digest {
-                        println!(
-                            "  FAIL: run {i} diverged from run 0 under the same seed\n\
-                             --- run 0 ---\n{}--- run {i} ---\n{}",
-                            f0.digest, f.digest
-                        );
-                        ok = false;
-                    }
-                }
-                None => {
-                    let cat = kind.category_name();
-                    if f.slog.category_by_name(cat).is_none() {
-                        println!("  FAIL: no terminal {cat} state in the salvaged timeline");
-                        ok = false;
-                    }
-                    if want_torn != f.truncated {
-                        println!(
-                            "  FAIL: expected truncated={want_torn}, got {}",
-                            f.truncated
-                        );
-                        ok = false;
-                    }
-                    let slog_path = out_dir().join(format!("FAULT_{name}.pslog2"));
-                    f.slog.write_to(&slog_path).expect("write salvaged slog2");
-                    let txt_path = out_dir().join(format!("FAULT_{name}.diagnosis.txt"));
-                    std::fs::write(&txt_path, &f.report_text).expect("write diagnosis");
-                    // The artifact must be loadable by any SLOG2 reader.
-                    match slog2::Slog2File::read_from(&slog_path) {
-                        Ok(back) if back.total_drawables() == f.slog.total_drawables() => {}
-                        other => {
-                            println!("  FAIL: written artifact does not load back: {other:?}");
-                            ok = false;
-                        }
-                    }
-                    print!(
-                        "{}",
-                        f.digest.lines().fold(String::new(), |mut s, l| {
-                            s.push_str("  ");
-                            s.push_str(l);
-                            s.push('\n');
-                            s
-                        })
-                    );
-                    println!("  wrote {} + {}", slog_path.display(), txt_path.display());
-                    first = Some(f);
-                }
+        let first = repeat_and_compare(
+            runs,
+            |_| {
+                let (outcome, dir) = run_fn(&ScenarioCfg::wall(seed));
+                let f = forensics(name, seed, &outcome, &dir);
+                let _ = std::fs::remove_dir_all(&dir);
+                f
+            },
+            |f| f.digest.clone(),
+        );
+        let f = match first {
+            Ok(f) => f,
+            Err(e) => {
+                println!("  FAIL: {e}");
+                ok = false;
+                continue;
+            }
+        };
+        let mut sound = true;
+        let cat = kind.category_name();
+        if f.slog.category_by_name(cat).is_none() {
+            println!("  FAIL: no terminal {cat} state in the salvaged timeline");
+            sound = false;
+        }
+        if want_torn != f.truncated {
+            println!(
+                "  FAIL: expected truncated={want_torn}, got {}",
+                f.truncated
+            );
+            sound = false;
+        }
+        let slog_path = write_artifact(&format!("FAULT_{name}.pslog2"), f.slog.to_bytes());
+        write_artifact(&format!("FAULT_{name}.diagnosis.txt"), &f.report_text);
+        // The artifact must be loadable by any SLOG2 reader.
+        match slog2::Slog2File::read_from(&slog_path) {
+            Ok(back) if back.total_drawables() == f.slog.total_drawables() => {}
+            other => {
+                println!("  FAIL: written artifact does not load back: {other:?}");
+                sound = false;
             }
         }
-        if first.is_some() && ok {
+        for line in f.digest.lines() {
+            println!("  {line}");
+        }
+        if sound {
             println!("  deterministic across {runs} run(s)");
         }
+        ok &= sound;
     }
     ok
-}
-
-/// Run one phase and print its wall-clock — every subcommand reports
-/// elapsed time whether or not the obs stack is attached.
-fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
-    let start = std::time::Instant::now();
-    let out = f();
-    println!("[time] {label}: {:.3}s", start.elapsed().as_secs_f64());
-    out
 }
 
 /// `diagnose` — run the causal diagnosis engine over a workload trace.
@@ -1958,16 +1622,9 @@ fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
 /// diagnoses from deterministic paper-scale fixtures; `thumbnail` and
 /// `lab2` diagnose a live run. Returns whether the workload's expected
 /// verdict (if it has one) was found.
-fn diagnose(workload: &str) -> bool {
+fn diagnose(workload: &str) -> Result<bool, String> {
     use analysis::VerdictKind;
     println!("# diagnose — automated bottleneck verdicts ({workload})");
-    let live = |outcome: &pilot::PilotOutcome| {
-        convert(
-            outcome.clog().expect("run must have -pisvc=j"),
-            named(outcome),
-        )
-        .0
-    };
     let slog = match workload {
         "instance-a" => analysis::fixtures::instance_a(),
         "instance-b" => analysis::fixtures::instance_b(),
@@ -1979,14 +1636,14 @@ fn diagnose(workload: &str) -> bool {
                 let cfg = PilotConfig::new(ranks).with_services(Services::parse("j").unwrap());
                 let outcome = w.run(cfg);
                 assert!(outcome.is_clean(), "{outcome:?}");
-                live(&outcome)
+                let clog = outcome.clog().expect("run must have -pisvc=j");
+                convert(clog, named(&outcome)).0
             }
             None => {
-                eprintln!(
+                return Err(format!(
                     "unknown workload '{other}'; try: instance-a instance-b {}",
                     workloads::workload_names().join(" ")
-                );
-                std::process::exit(2);
+                ))
             }
         },
     };
@@ -1994,10 +1651,8 @@ fn diagnose(workload: &str) -> bool {
     let az = analysis::TraceAnalyzer::new(&slog);
     let d = az.diagnose(workload);
     let json = d.to_json(&slog);
-    let path = out_dir().join("DIAGNOSIS.json");
-    std::fs::write(&path, &json).expect("write DIAGNOSIS.json");
-    let per_workload = out_dir().join(format!("DIAGNOSIS_{workload}.json"));
-    std::fs::write(&per_workload, &json).expect("write per-workload diagnosis");
+    write_artifact("DIAGNOSIS.json", &json);
+    write_artifact(&format!("DIAGNOSIS_{workload}.json"), &json);
 
     let cp = az.critical_path();
     let overlay = jumpshot::PathOverlay {
@@ -2017,8 +1672,7 @@ fn diagnose(workload: &str) -> bool {
         .with_width(1400)
         .with_overlay(overlay);
     let svg = jumpshot::Renderer::render(&jumpshot::SvgRenderer, &slog, &opts);
-    let svg_path = out_dir().join(format!("diagnosis_{workload}.svg"));
-    std::fs::write(&svg_path, svg).expect("write overlay svg");
+    write_artifact(&format!("diagnosis_{workload}.svg"), svg);
 
     println!(
         "  makespan {:.3}s; critical path {:.3}s across {} segment(s), {} hop(s)",
@@ -2043,16 +1697,10 @@ fn diagnose(workload: &str) -> bool {
             v.detail
         );
     }
-    println!(
-        "  wrote {}, {}, {}",
-        path.display(),
-        per_workload.display(),
-        svg_path.display()
-    );
 
     // The smoke check CI runs: each instance workload must reproduce
     // the paper's diagnosis, with the right culprit.
-    match workload {
+    Ok(match workload {
         "instance-a" => {
             let ok = d.has(VerdictKind::SerializedPhase);
             if !ok {
@@ -2072,7 +1720,7 @@ fn diagnose(workload: &str) -> bool {
             }
         },
         _ => true,
-    }
+    })
 }
 
 /// `diff` — compare two traces and pronounce per-issue verdicts.
@@ -2083,7 +1731,11 @@ fn diagnose(workload: &str) -> bool {
 /// (plus a per-slug copy) and `out/diff_<slug>.svg`, prints the ascii
 /// side-by-side view and the issue table, and — for the built-in
 /// workloads — returns whether the expected verdict came back.
-fn diff_cmd(before_path: Option<&str>, after_path: Option<&str>, workload: &str) -> bool {
+fn diff_cmd(
+    before_path: Option<&str>,
+    after_path: Option<&str>,
+    workload: &str,
+) -> Result<bool, String> {
     use analysis::VerdictKind;
     use diff::DeltaVerdict;
 
@@ -2094,18 +1746,21 @@ fn diff_cmd(before_path: Option<&str>, after_path: Option<&str>, workload: &str)
             .unwrap_or("trace")
             .to_string()
     };
-    let load = |p: &str| match slog2::Slog2File::read_validated(Path::new(p)) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("cannot load {p}: {e:?}");
-            std::process::exit(2);
-        }
+    let load = |p: &str| {
+        slog2::Slog2File::read_validated(Path::new(p))
+            .map_err(|e| format!("cannot load {p}: {e:?}"))
     };
     let (before, after, labels, slug, expect) = match (before_path, after_path) {
         (Some(b), Some(a)) => {
             println!("# diff — {b} vs {a}");
             let slug = format!("{}_vs_{}", stem(b), stem(a));
-            (load(b), load(a), (b.to_string(), a.to_string()), slug, None)
+            (
+                load(b)?,
+                load(a)?,
+                (b.to_string(), a.to_string()),
+                slug,
+                None,
+            )
         }
         _ => {
             println!("# diff — built-in workload {workload}");
@@ -2122,12 +1777,9 @@ fn diff_cmd(before_path: Option<&str>, after_path: Option<&str>, workload: &str)
                     ("instance-b".to_string(), "fixed".to_string()),
                     Some(VerdictKind::LateProducer),
                 ),
-                other => {
-                    eprintln!(
-                        "unknown diff workload '{other}'; try: instance-a-vs-fixed instance-b-vs-fixed (or pass two .pslog2 paths)"
-                    );
-                    std::process::exit(2);
-                }
+                other => return Err(format!(
+                    "unknown diff workload '{other}'; try: instance-a-vs-fixed instance-b-vs-fixed (or pass two .pslog2 paths)"
+                )),
             };
             (before, after, labels, workload.to_string(), expect)
         }
@@ -2135,14 +1787,11 @@ fn diff_cmd(before_path: Option<&str>, after_path: Option<&str>, workload: &str)
 
     let d = diff::diff_traces(&before, &after, (&labels.0, &labels.1));
     let json = d.to_json();
-    let json_path = out_dir().join("DIFF.json");
-    std::fs::write(&json_path, &json).expect("write DIFF.json");
-    let slug_path = out_dir().join(format!("DIFF_{slug}.json"));
-    std::fs::write(&slug_path, &json).expect("write per-slug diff");
+    write_artifact("DIFF.json", &json);
+    write_artifact(&format!("DIFF_{slug}.json"), &json);
     let (_, svg) = diff::render_side_by_side(&before, &after, &d.delta, "svg", 1400)
         .expect("svg backend exists");
-    let svg_path = out_dir().join(format!("diff_{slug}.svg"));
-    std::fs::write(&svg_path, svg).expect("write side-by-side svg");
+    write_artifact(&format!("diff_{slug}.svg"), svg);
 
     let (_, ascii) = diff::render_side_by_side(&before, &after, &d.delta, "ascii", 100)
         .expect("ascii backend exists");
@@ -2171,14 +1820,8 @@ fn diff_cmd(before_path: Option<&str>, after_path: Option<&str>, workload: &str)
         d.count(DeltaVerdict::Regressed),
         d.count(DeltaVerdict::Unchanged)
     );
-    println!(
-        "  wrote {}, {}, {}",
-        json_path.display(),
-        slug_path.display(),
-        svg_path.display()
-    );
 
-    match expect {
+    Ok(match expect {
         None => true,
         Some(kind) => match d.issue(kind) {
             Some(i) if i.verdict == DeltaVerdict::Fixed && i.recovered_seconds > 0.0 => true,
@@ -2190,7 +1833,7 @@ fn diff_cmd(before_path: Option<&str>, after_path: Option<&str>, workload: &str)
                 false
             }
         },
-    }
+    })
 }
 
 /// `bench-diff` — gate current `BENCH_*.json` reports against
@@ -2204,8 +1847,6 @@ fn bench_diff_cmd(
     max_regress_pct: f64,
     warn_only: bool,
 ) -> bool {
-    use pilot_vis::json::Json;
-
     println!(
         "# bench-diff — {current_dir} vs baselines in {baseline_dir} (gate: {max_regress_pct}%{})",
         if warn_only { ", warn-only" } else { "" }
@@ -2231,22 +1872,12 @@ fn bench_diff_cmd(
     let mut missing_current = Vec::new();
     let mut regressed_total = 0usize;
     for name in &names {
-        let base_path = Path::new(baseline_dir).join(name);
-        let cur_path = Path::new(current_dir).join(name);
-        let parse = |p: &Path| -> Option<Json> {
-            let text = std::fs::read_to_string(p).ok()?;
+        let read = |dir: &str| {
+            let text = std::fs::read_to_string(Path::new(dir).join(name)).ok()?;
             Json::parse(&text).ok()
         };
-        let Some(base) = parse(&base_path) else {
-            eprintln!("  {name}: baseline unreadable or invalid JSON — counts as failure");
-            missing_current.push(name.clone());
-            continue;
-        };
-        let Some(cur) = parse(&cur_path) else {
-            eprintln!(
-                "  {name}: no current report at {} — counts as failure",
-                cur_path.display()
-            );
+        let (Some(base), Some(cur)) = (read(baseline_dir), read(current_dir)) else {
+            eprintln!("  {name}: baseline or current report unreadable or invalid JSON — counts as failure");
             missing_current.push(name.clone());
             continue;
         };
@@ -2276,28 +1907,19 @@ fn bench_diff_cmd(
     }
 
     let ok = regressed_total == 0 && missing_current.is_empty();
-    let report = Json::Obj(vec![
-        ("max_regress_pct".into(), Json::Num(max_regress_pct)),
-        ("warn_only".into(), Json::Bool(warn_only)),
-        (
-            "reports".into(),
+    let missing = missing_current.iter().map(|s| Json::Str(s.clone()));
+    let mut report = Report::default();
+    report
+        .num("max_regress_pct", max_regress_pct)
+        .put("warn_only", Json::Bool(warn_only))
+        .put(
+            "reports",
             Json::Arr(reports.iter().map(diff::BenchDiff::to_json_value).collect()),
-        ),
-        (
-            "missing_current".into(),
-            Json::Arr(
-                missing_current
-                    .iter()
-                    .map(|s| Json::Str(s.clone()))
-                    .collect(),
-            ),
-        ),
-        ("regressed".into(), Json::Num(regressed_total as f64)),
-        ("passed".into(), Json::Bool(ok)),
-    ]);
-    let path = out_dir().join("BENCH_DIFF.json");
-    std::fs::write(&path, report.pretty()).expect("write BENCH_DIFF.json");
-    println!("  wrote {}", path.display());
+        )
+        .put("missing_current", Json::Arr(missing.collect()))
+        .num("regressed", regressed_total as f64)
+        .put("passed", Json::Bool(ok));
+    report.write("BENCH_DIFF.json");
 
     if ok {
         println!(
@@ -2374,35 +1996,29 @@ fn explore(seeds: usize) -> bool {
     };
 
     let mut ok = true;
-    let mut verdicts: Vec<String> = Vec::new();
-    let mut digests: Vec<u64> = Vec::new();
+    let (mut verdicts, mut digests) = (HashSet::new(), HashSet::new());
     for seed in 0..seeds as u64 {
-        let (verdict, digest) = run_one(seed, 0);
-        let (v2, d2) = run_one(seed, 1);
-        if (&verdict, digest) != (&v2, d2) {
-            println!("  seed {seed}: FAIL — rerun diverged ({digest:016x} vs {d2:016x})");
-            ok = false;
-        }
+        let (verdict, digest) = match repeat_and_compare(
+            2,
+            |attempt| Ok(run_one(seed, attempt)),
+            |(verdict, digest)| format!("{digest:016x}  verdict: {verdict}"),
+        ) {
+            Ok(first) => first,
+            Err(e) => {
+                println!("  seed {seed}: FAIL — {e}");
+                ok = false;
+                continue;
+            }
+        };
         if !verdict.starts_with("deadlock") {
             println!("  seed {seed}: FAIL — expected a deadlock conviction, got: {verdict}");
             ok = false;
         }
         println!("  seed {seed}: schedule {digest:016x}  verdict: {verdict}");
-        verdicts.push(verdict);
-        digests.push(digest);
+        verdicts.insert(verdict);
+        digests.insert(digest);
     }
-    let distinct = |mut xs: Vec<u64>| {
-        xs.sort_unstable();
-        xs.dedup();
-        xs.len()
-    };
-    let schedules = distinct(digests);
-    let verdict_classes = distinct(
-        verdicts
-            .iter()
-            .map(|v| timeline::fnv1a(v.as_bytes()))
-            .collect(),
-    );
+    let (schedules, verdict_classes) = (digests.len(), verdicts.len());
     println!("  {seeds} seed(s) -> {schedules} distinct schedule(s), {verdict_classes} distinct verdict(s)");
     if schedules < 2 {
         println!("  FAIL: seeds did not explore distinct schedules");
@@ -2424,262 +2040,269 @@ fn explore(seeds: usize) -> bool {
 /// digest each time; writes `out/BENCH_sim.json` (gated by bench-diff
 /// via `wall_s`) and the converted `out/SIM_pipeline.pslog2`.
 fn sim_bench(ranks: usize, seed: u64) -> bool {
-    use pilot_vis::json::Json;
     let ranks = ranks.max(4);
     println!("# sim-bench — {ranks}-rank pipeline under the virtual engine (seed {seed})");
 
     let w = workloads::workload_by_name("pipeline").expect("pipeline is registered");
     let runs = 3;
     let mut walls: Vec<f64> = Vec::new();
-    let mut digests: Vec<u64> = Vec::new();
-    let mut events = 0usize;
-    let mut first: Option<pilot::PilotOutcome> = None;
-    for i in 0..runs {
-        let cfg = PilotConfig::new(ranks)
-            .with_services(Services::parse("j").unwrap())
-            .with_engine(minimpi::Engine::Virtual { seed });
-        let t0 = std::time::Instant::now();
-        let outcome = w.run(cfg);
-        let wall = t0.elapsed().as_secs_f64();
-        assert!(outcome.is_clean(), "{outcome:?}");
-        let clog = outcome.clog().expect("run has -pisvc=j");
-        events = clog.total_records();
-        digests.push(timeline::fnv1a(&clog.to_bytes()));
-        walls.push(wall);
-        println!("  run {i}: {wall:.3}s wall, digest {:016x}", digests[i]);
-        if first.is_none() {
-            first = Some(outcome);
+    let first = repeat_and_compare(
+        runs,
+        |i| {
+            let cfg = PilotConfig::new(ranks)
+                .with_services(Services::parse("j").unwrap())
+                .with_engine(minimpi::Engine::Virtual { seed });
+            let t0 = std::time::Instant::now();
+            let outcome = w.run(cfg);
+            let wall = t0.elapsed().as_secs_f64();
+            assert!(outcome.is_clean(), "{outcome:?}");
+            let digest = timeline::fnv1a(&outcome.clog().expect("run has -pisvc=j").to_bytes());
+            println!("  run {i}: {wall:.3}s wall, digest {digest:016x}");
+            walls.push(wall);
+            Ok((outcome, digest))
+        },
+        |(_, digest)| format!("{digest:016x}"),
+    );
+    let (outcome, digest) = match first {
+        Ok(first) => first,
+        Err(e) => {
+            println!("  FAIL: CLOG2 digest: {e}");
+            return false;
         }
-    }
+    };
 
     let mut ok = true;
-    if digests.windows(2).any(|w| w[0] != w[1]) {
-        println!("  FAIL: CLOG2 digest differs across runs: {digests:x?}");
-        ok = false;
-    }
-    let wall_s = bench::median(walls.clone());
+    let wall_s = bench::median(walls);
     if wall_s >= 10.0 {
         println!("  FAIL: median wall {wall_s:.3}s breaches the 10s budget");
         ok = false;
     }
 
-    let outcome = first.expect("at least one run");
-    let (slog, _) = convert(outcome.clog().unwrap(), named(&outcome));
-    let slog_path = out_dir().join("SIM_pipeline.pslog2");
-    slog.write_to(&slog_path)
-        .expect("write SIM_pipeline.pslog2");
-
-    let report = Json::Obj(vec![
-        ("ranks".into(), Json::Num(ranks as f64)),
-        ("seed".into(), Json::Num(seed as f64)),
-        ("wall_s".into(), Json::Num(wall_s)),
-        ("ranks_per_sec".into(), Json::Num(ranks as f64 / wall_s)),
-        ("events_per_sec".into(), Json::Num(events as f64 / wall_s)),
-        ("events".into(), Json::Num(events as f64)),
-        ("digest".into(), Json::Str(format!("{:016x}", digests[0]))),
-    ]);
-    let path = out_dir().join("BENCH_sim.json");
-    std::fs::write(&path, report.pretty()).expect("write BENCH_sim.json");
+    let clog = outcome.clog().expect("run has -pisvc=j");
+    let events = clog.total_records();
+    let (slog, _) = convert(clog, named(&outcome));
+    write_artifact("SIM_pipeline.pslog2", slog.to_bytes());
     println!(
         "  {ranks} ranks in {wall_s:.3}s median ({:.0} ranks/s, {:.0} events/s, {events} events)",
         ranks as f64 / wall_s,
         events as f64 / wall_s
     );
-    println!("  wrote {} + {}", path.display(), slog_path.display());
+    let mut report = Report::default();
+    report
+        .num("ranks", ranks as f64)
+        .num("seed", seed as f64)
+        .num("wall_s", wall_s)
+        .num("ranks_per_sec", ranks as f64 / wall_s)
+        .num("events_per_sec", events as f64 / wall_s)
+        .num("events", events as f64)
+        .put("digest", Json::Str(format!("{digest:016x}")));
+    report.write("BENCH_sim.json");
     if ok {
         println!("  sim-bench PASSED: digest stable across {runs} runs, wall within budget");
     }
     ok
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("all");
-    let get_flag = |name: &str, default: usize| -> usize {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
+/// The command line after the program name: the subcommand, then
+/// `--name value` flags, bare `--switch`es and (for `diff`) positional
+/// paths. Every subcommand reads its flags through here.
+struct Args(Vec<String>);
+
+impl Args {
+    /// The value after `--name`, if given.
+    fn value(&self, name: &str) -> Option<&str> {
+        let at = self.0.iter().position(|a| a == name)?;
+        self.0.get(at + 1).map(String::as_str)
+    }
+
+    /// `--name`'s value as a `T`; `default` when absent or unparsable.
+    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+        self.value(name)
             .and_then(|v| v.parse().ok())
             .unwrap_or(default)
-    };
-    let files = get_flag("--files", 48);
-    let reps = get_flag("--reps", 5);
-    let parallel = get_flag("--parallel", 0);
-    let drawables = get_flag("--drawables", 0);
-    let bench_ranks = get_flag("--ranks", 8);
-    let budget_mb = get_flag("--budget-mb", 256);
-    let seed = get_flag("--seed", 42) as u64;
-    let runs = get_flag("--runs", 2);
-    let workload = args
-        .iter()
-        .position(|a| a == "--workload")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("thumbnail")
-        .to_string();
-    PARALLEL.set(parallel).expect("set once");
+    }
 
-    match cmd {
-        "table1" => timed("table1", || table1(files, reps)),
-        "convert-bench" => {
-            if drawables > 0 {
-                let ok = timed("convert-bench", || {
-                    convert_bench_scale(drawables, bench_ranks, budget_mb)
-                });
-                if !ok {
-                    std::process::exit(1);
-                }
-            } else {
-                timed("convert-bench", || convert_bench(reps, parallel));
-            }
-        }
-        "fig1" => {
-            timed("fig1", || {
-                fig1();
-            });
-        }
-        "fig2" => timed("fig2", || {
-            let outcome = fig1();
-            fig2(&outcome);
-        }),
-        "fig3" => timed("fig3", fig3),
-        "fig4" => timed("fig4", fig4),
-        "fig5" => timed("fig5", fig5),
-        "legend" => timed("legend", legend),
-        "equal-drawables" => timed("equal-drawables", equal_drawables),
-        "clocksync" => timed("clocksync", clocksync),
-        "metrics" => {
-            let ok = timed("metrics", || metrics(&workload, parallel));
-            if !ok {
-                std::process::exit(1);
-            }
-        }
-        "faults" => {
-            let ok = timed("faults", || faults(seed, runs));
-            if !ok {
-                std::process::exit(1);
-            }
-        }
-        "list-workloads" => list_workloads(),
-        "explore" => {
-            let seeds_n = get_flag("--seeds", 8);
-            let ok = timed("explore", || explore(seeds_n));
-            if !ok {
-                std::process::exit(1);
-            }
-        }
-        "sim-bench" => {
-            let ranks = get_flag("--ranks", 1024);
-            let ok = timed("sim-bench", || sim_bench(ranks, seed));
-            if !ok {
-                std::process::exit(1);
-            }
-        }
-        "diagnose" => {
-            let ok = timed("diagnose", || diagnose(&workload));
-            if !ok {
-                std::process::exit(1);
-            }
-        }
-        "serve-chaos" => {
-            let ops = get_flag("--ops", 120);
-            let ok = timed("serve-chaos", || serve_chaos(seed, runs, ops));
-            if !ok {
-                std::process::exit(1);
-            }
-        }
-        "serve-bench" => {
-            let clients = get_flag("--clients", 32);
-            let obs_mode = args.iter().any(|a| a == "--obs");
-            let max_overhead_pct = args
-                .iter()
-                .position(|a| a == "--max-obs-overhead-pct")
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(5.0);
-            let ok = timed("serve-bench", || {
-                serve_bench(clients, obs_mode, max_overhead_pct)
-            });
-            if !ok {
-                std::process::exit(1);
-            }
-        }
-        "diff" => {
-            // Positional paths come right after the subcommand; flags
-            // start with `--`.
-            let positional: Vec<&str> = args[1..]
-                .iter()
-                .take_while(|a| !a.starts_with("--"))
-                .map(String::as_str)
-                .collect();
-            // Unlike `diagnose`, the default workload here is the
-            // acceptance pair, not `thumbnail`.
-            let diff_workload = args
-                .iter()
-                .position(|a| a == "--workload")
-                .and_then(|i| args.get(i + 1))
-                .map(String::as_str)
-                .unwrap_or("instance-a-vs-fixed")
-                .to_string();
-            let ok = timed("diff", || {
-                diff_cmd(
-                    positional.first().copied(),
-                    positional.get(1).copied(),
-                    &diff_workload,
-                )
-            });
-            if !ok {
-                std::process::exit(1);
-            }
-        }
-        "bench-diff" => {
-            let get_str = |name: &str, default: &str| -> String {
-                args.iter()
-                    .position(|a| a == name)
-                    .and_then(|i| args.get(i + 1))
-                    .map(String::as_str)
-                    .unwrap_or(default)
-                    .to_string()
-            };
-            let baseline = get_str("--baseline", "out/baselines");
-            let current = get_str("--current", "out");
-            let max_regress_pct = args
-                .iter()
-                .position(|a| a == "--max-regress-pct")
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse::<f64>().ok())
-                .unwrap_or(15.0);
-            let warn_only = args.iter().any(|a| a == "--warn-only");
-            let ok = timed("bench-diff", || {
-                bench_diff_cmd(&baseline, &current, max_regress_pct, warn_only)
-            });
-            if !ok {
-                std::process::exit(1);
-            }
-        }
-        "all" => {
-            timed("table1", || table1(files, reps));
-            println!();
-            let outcome = timed("fig1", fig1);
-            timed("fig2", || fig2(&outcome));
-            println!();
-            timed("fig3", fig3);
-            println!();
-            timed("fig4", fig4);
-            println!();
-            timed("fig5", fig5);
-            println!();
-            timed("legend", legend);
-            println!();
-            timed("equal-drawables", equal_drawables);
-            println!();
-            timed("clocksync", clocksync);
-        }
-        other => {
-            eprintln!(
-                "unknown experiment '{other}'; try: table1 fig1 fig2 fig3 fig4 fig5 legend equal-drawables clocksync convert-bench metrics faults diagnose diff bench-diff serve-bench serve-chaos list-workloads explore sim-bench all"
-            );
+    /// Is the bare switch `name` present?
+    fn has(&self, name: &str) -> bool {
+        self.0.iter().any(|a| a == name)
+    }
+
+    /// The arguments between the subcommand and the first flag.
+    fn positional(&self) -> Vec<&str> {
+        let rest = self.0.iter().skip(1);
+        rest.take_while(|a| !a.starts_with("--"))
+            .map(String::as_str)
+            .collect()
+    }
+}
+
+/// How a subcommand ended: `Ok(true)` passed, `Ok(false)` failed its
+/// check (exit 1), `Err` is a usage error (exit 2).
+type Outcome = Result<bool, String>;
+
+/// A subcommand: reads its flags, runs, and says how it ended.
+type Command = fn(&Args) -> Outcome;
+
+/// Run an experiment that has no pass/fail check: it passes once run.
+fn no_check<T>(experiment: impl FnOnce() -> T) -> Outcome {
+    experiment();
+    Ok(true)
+}
+
+/// Every subcommand with its flags and their defaults, in usage order.
+const COMMANDS: &[(&str, Command)] = &[
+    ("table1", |a| {
+        no_check(|| table1(a.num("--files", 48), a.num("--reps", 5)))
+    }),
+    ("fig1", |_| no_check(fig1)),
+    ("fig2", |_| no_check(|| fig2(&fig1()))),
+    ("fig3", |_| no_check(fig3)),
+    ("fig4", |_| no_check(fig4)),
+    ("fig5", |_| no_check(fig5)),
+    ("legend", |_| no_check(legend)),
+    ("equal-drawables", |_| no_check(equal_drawables)),
+    ("clocksync", |_| no_check(clocksync)),
+    ("convert-bench", |a| match a.num("--drawables", 0) {
+        0 => no_check(|| convert_bench(a.num("--reps", 5), parallelism())),
+        n => Ok(convert_bench_scale(
+            n,
+            a.num("--ranks", 8),
+            a.num("--budget-mb", 256),
+        )),
+    }),
+    ("metrics", |a| {
+        metrics(a.value("--workload").unwrap_or("thumbnail"), parallelism())
+    }),
+    ("faults", |a| {
+        Ok(faults(a.num("--seed", 42), a.num("--runs", 2)))
+    }),
+    ("diagnose", |a| {
+        diagnose(a.value("--workload").unwrap_or("thumbnail"))
+    }),
+    ("diff", |a| {
+        let paths = a.positional();
+        // Unlike `diagnose`, the default workload here is the
+        // acceptance pair, not `thumbnail`.
+        let workload = a.value("--workload").unwrap_or("instance-a-vs-fixed");
+        diff_cmd(paths.first().copied(), paths.get(1).copied(), workload)
+    }),
+    ("bench-diff", |a| {
+        Ok(bench_diff_cmd(
+            a.value("--baseline").unwrap_or("out/baselines"),
+            a.value("--current").unwrap_or("out"),
+            a.num("--max-regress-pct", 15.0),
+            a.has("--warn-only"),
+        ))
+    }),
+    ("serve-bench", |a| {
+        Ok(serve_bench(
+            a.num("--clients", 32),
+            a.has("--obs"),
+            a.num("--max-obs-overhead-pct", 5.0),
+        ))
+    }),
+    ("serve-chaos", |a| {
+        Ok(serve_chaos(
+            a.num("--seed", 42),
+            a.num("--runs", 2),
+            a.num("--ops", 120),
+        ))
+    }),
+    ("list-workloads", |_| no_check(list_workloads)),
+    ("explore", |a| Ok(explore(a.num("--seeds", 8)))),
+    ("sim-bench", |a| {
+        Ok(sim_bench(a.num("--ranks", 1024), a.num("--seed", 42)))
+    }),
+    ("all", all),
+];
+
+/// The table entry for subcommand `name`.
+fn command(name: &str) -> Option<(&'static str, Command)> {
+    COMMANDS.iter().copied().find(|(n, _)| *n == name)
+}
+
+/// Run one phase and print its wall-clock — every subcommand reports
+/// elapsed time whether or not the obs stack is attached.
+fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
+    let start = std::time::Instant::now();
+    let out = f();
+    println!("[time] {label}: {:.3}s", start.elapsed().as_secs_f64());
+    out
+}
+
+/// `all`: Table 1 and every figure, legend and clock experiment, each
+/// timed as its own phase; Fig. 2 zooms into Fig. 1's run.
+fn all(a: &Args) -> Outcome {
+    let run = |name: &str| timed(name, || command(name).expect("listed").1(a));
+    run("table1")?;
+    println!();
+    let outcome = timed("fig1", fig1);
+    timed("fig2", || fig2(&outcome));
+    for name in [
+        "fig3",
+        "fig4",
+        "fig5",
+        "legend",
+        "equal-drawables",
+        "clocksync",
+    ] {
+        println!();
+        run(name)?;
+    }
+    Ok(true)
+}
+
+fn main() {
+    let args = Args(std::env::args().skip(1).collect());
+    let name = args.0.first().map_or("all", String::as_str);
+    let Some((name, run)) = command(name) else {
+        let names: Vec<&str> = COMMANDS.iter().map(|(n, _)| *n).collect();
+        eprintln!("unknown experiment '{name}'; try: {}", names.join(" "));
+        std::process::exit(2);
+    };
+    PARALLEL.set(args.num("--parallel", 0)).expect("set once");
+    match timed(name, || run(&args)) {
+        Ok(true) => {}
+        Ok(false) => std::process::exit(1),
+        Err(usage) => {
+            eprintln!("{usage}");
             std::process::exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_bad_pass_fails_the_whole_serve_bench_run() {
+        let good = || ServePass {
+            latencies_ms: vec![0.2],
+            hits: 97,
+            misses: 3,
+            ..ServePass::default()
+        };
+        let mut pairs: Vec<(ServePass, ServePass)> = (0..5).map(|_| (good(), good())).collect();
+        assert_eq!(first_fault(&good(), &pairs), None);
+        pairs[3].0.mismatches = 1;
+        assert_eq!(
+            first_fault(&good(), &pairs).as_deref(),
+            Some("pair 3 untraced pass: 1 parity mismatch(es)")
+        );
+        pairs[1].1.tally.bad_rejects = 2;
+        assert_eq!(
+            first_fault(&good(), &pairs).as_deref(),
+            Some("pair 1 traced pass: 2 reject(s) without Retry-After")
+        );
+        let cold = ServePass {
+            hits: 1,
+            misses: 1,
+            ..good()
+        };
+        assert_eq!(
+            first_fault(&cold, &[]).as_deref(),
+            Some("report pass: cache hit rate 0.5000 below 0.9")
+        );
     }
 }

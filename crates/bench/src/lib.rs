@@ -1,5 +1,6 @@
 //! Shared helpers for the benchmark harness and the `repro` binary.
 
+pub mod harness;
 pub mod scenarios;
 
 use pilot::{PilotConfig, Services};

@@ -7,7 +7,7 @@
 //! * a **state** wide enough on screen becomes a filled rectangle whose
 //!   height shrinks with nesting level (inner rectangles inside outer
 //!   ones); its popup text becomes an SVG `<title>` tooltip;
-//! * a state **too narrow to see** (below `min_state_px`) instead
+//! * a state **too narrow to see** (below [`MIN_STATE_PX`]) instead
 //!   contributes to its pixel bucket's *preview stripe* — an outlined
 //!   rectangle filled with horizontal colour bands whose heights are
 //!   proportional to each category's share of that interval, exactly the
@@ -22,6 +22,19 @@ use std::fmt::Write as _;
 use slog2::{CategoryId, Drawable, Slog2File, TimeWindow, TimelineId};
 
 use crate::viewport::Viewport;
+
+/// Height of one timeline row in pixels.
+const ROW_HEIGHT: f64 = 28.0;
+/// States narrower than this many pixels go into preview stripes.
+const MIN_STATE_PX: f64 = 1.5;
+/// Preview bucket width in pixels.
+const BUCKET_PX: f64 = 4.0;
+/// Canvas background colour.
+const BACKGROUND: &str = "#101018";
+/// Left gutter for timeline labels, pixels.
+const LABEL_GUTTER: f64 = 80.0;
+/// Bottom strip for the time axis, pixels.
+const AXIS_HEIGHT: f64 = 26.0;
 
 /// A critical-path overlay: the on-timeline segments and cross-timeline
 /// hops of a causal critical path (as computed by the `analysis`
@@ -66,12 +79,6 @@ pub struct RenderOptions {
     /// Output width: pixels for the SVG/HTML/histogram backends,
     /// characters for the ascii backend.
     pub width: u32,
-    /// Height of one timeline row in pixels.
-    pub row_height: u32,
-    /// States narrower than this many pixels go into preview stripes.
-    pub min_state_px: f64,
-    /// Preview bucket width in pixels.
-    pub bucket_px: u32,
     /// Draw message arrows?
     pub show_arrows: bool,
     /// Draw event bubbles?
@@ -81,12 +88,6 @@ pub struct RenderOptions {
     /// If set, only these category indices are drawn (legend visibility
     /// toggles).
     pub visible_categories: Option<HashSet<CategoryId>>,
-    /// Canvas background colour.
-    pub background: String,
-    /// Left gutter for timeline labels, pixels.
-    pub label_gutter: u32,
-    /// Bottom strip for the time axis, pixels.
-    pub axis_height: u32,
     /// Critical-path overlay: highlight these segments and hops, and
     /// (optionally) dim everything off the path.
     pub overlay: Option<PathOverlay>,
@@ -106,16 +107,10 @@ impl Default for RenderOptions {
         RenderOptions {
             window: None,
             width: 1280,
-            row_height: 28,
-            min_state_px: 1.5,
-            bucket_px: 4,
             show_arrows: true,
             show_events: true,
             max_arrows: 20,
             visible_categories: None,
-            background: "#101018".to_string(),
-            label_gutter: 80,
-            axis_height: 26,
             overlay: None,
             lane_split: None,
             row_notes: Vec::new(),
@@ -195,36 +190,30 @@ pub(crate) fn esc(s: &str) -> String {
 }
 
 struct Layout {
-    gutter: f64,
-    row_h: f64,
-    axis_h: f64,
     rows: usize,
     canvas_w: f64,
 }
 
 impl Layout {
     fn row_top(&self, timeline: TimelineId) -> f64 {
-        timeline.as_u32() as f64 * self.row_h
+        timeline.as_u32() as f64 * ROW_HEIGHT
     }
 
     fn row_mid(&self, timeline: TimelineId) -> f64 {
-        self.row_top(timeline) + self.row_h / 2.0
+        self.row_top(timeline) + ROW_HEIGHT / 2.0
     }
 
     fn total_height(&self) -> f64 {
-        self.rows as f64 * self.row_h + self.axis_h
+        self.rows as f64 * ROW_HEIGHT + AXIS_HEIGHT
     }
 
     fn total_width(&self) -> f64 {
-        self.gutter + self.canvas_w
+        LABEL_GUTTER + self.canvas_w
     }
 }
 
 pub(crate) fn svg_string(file: &Slog2File, vp: &Viewport, opts: &RenderOptions) -> String {
     let lay = Layout {
-        gutter: opts.label_gutter as f64,
-        row_h: opts.row_height as f64,
-        axis_h: opts.axis_height as f64,
         rows: file.timelines.len(),
         canvas_w: vp.width_px as f64,
     };
@@ -248,7 +237,7 @@ pub(crate) fn svg_string(file: &Slog2File, vp: &Viewport, opts: &RenderOptions) 
         "<rect x=\"0\" y=\"0\" width=\"{}\" height=\"{}\" fill=\"{}\"/>",
         lay.total_width(),
         lay.total_height(),
-        esc(&opts.background)
+        esc(BACKGROUND)
     );
 
     // Row separators and labels.
@@ -257,7 +246,7 @@ pub(crate) fn svg_string(file: &Slog2File, vp: &Viewport, opts: &RenderOptions) 
         let _ = writeln!(
             svg,
             "<line x1=\"{g}\" y1=\"{y}\" x2=\"{x2}\" y2=\"{y}\" stroke=\"#333\" stroke-width=\"0.5\"/>",
-            g = lay.gutter,
+            g = LABEL_GUTTER,
             y = y,
             x2 = lay.total_width()
         );
@@ -290,7 +279,6 @@ pub(crate) fn svg_string(file: &Slog2File, vp: &Viewport, opts: &RenderOptions) 
     let mut events = Vec::new();
     let mut arrows = Vec::new();
 
-    let bucket_w = opts.bucket_px.max(1) as f64;
     for d in hits {
         if !visible(d.category()) {
             continue;
@@ -298,13 +286,13 @@ pub(crate) fn svg_string(file: &Slog2File, vp: &Viewport, opts: &RenderOptions) 
         match d {
             Drawable::State(s) => {
                 let px = vp.px_of_span(s.end - s.start);
-                if px >= opts.min_state_px {
+                if px >= MIN_STATE_PX {
                     wide_states.push(s);
                 } else {
                     let clipped0 = s.start.max(vp.t0);
                     let clipped1 = s.end.min(vp.t1);
                     let x = vp.x_of((clipped0 + clipped1) / 2.0);
-                    let b = (x / bucket_w).floor().max(0.0) as u32;
+                    let b = (x / BUCKET_PX).floor().max(0.0) as u32;
                     *buckets
                         .entry((s.timeline, b))
                         .or_default()
@@ -342,16 +330,16 @@ pub(crate) fn svg_string(file: &Slog2File, vp: &Viewport, opts: &RenderOptions) 
 
     // Preview stripes first (behind individual rectangles).
     for ((timeline, b), cats) in &buckets {
-        let x = lay.gutter + *b as f64 * bucket_w;
+        let x = LABEL_GUTTER + *b as f64 * BUCKET_PX;
         let y = lay.row_top(*timeline) + 2.0;
-        let h = lay.row_h - 4.0;
+        let h = ROW_HEIGHT - 4.0;
         let total: f64 = cats.values().sum();
         if total <= 0.0 {
             continue;
         }
         let _ = writeln!(
             svg,
-            "<g class=\"preview\"><rect x=\"{x:.2}\" y=\"{y:.2}\" width=\"{bucket_w:.2}\" height=\"{h:.2}\" \
+            "<g class=\"preview\"><rect x=\"{x:.2}\" y=\"{y:.2}\" width=\"{BUCKET_PX:.2}\" height=\"{h:.2}\" \
              fill=\"none\" stroke=\"#888\" stroke-width=\"0.5\"/>"
         );
         let mut yoff = y;
@@ -365,7 +353,7 @@ pub(crate) fn svg_string(file: &Slog2File, vp: &Viewport, opts: &RenderOptions) 
                 .unwrap_or_else(|| "#000000".into());
             let _ = writeln!(
                 svg,
-                "<rect x=\"{x:.2}\" y=\"{yoff:.2}\" width=\"{bucket_w:.2}\" height=\"{sh:.2}\" fill=\"{color}\" class=\"stripe\"/>"
+                "<rect x=\"{x:.2}\" y=\"{yoff:.2}\" width=\"{BUCKET_PX:.2}\" height=\"{sh:.2}\" fill=\"{color}\" class=\"stripe\"/>"
             );
             yoff += sh;
         }
@@ -374,11 +362,11 @@ pub(crate) fn svg_string(file: &Slog2File, vp: &Viewport, opts: &RenderOptions) 
 
     // Individual state rectangles.
     for s in wide_states {
-        let x0 = lay.gutter + vp.x_of(s.start.max(vp.t0)).max(0.0);
-        let x1 = lay.gutter + vp.x_of(s.end.min(vp.t1)).min(lay.canvas_w);
-        let shrink = (s.nest_level as f64 * 4.0).min(lay.row_h / 2.0 - 2.0);
+        let x0 = LABEL_GUTTER + vp.x_of(s.start.max(vp.t0)).max(0.0);
+        let x1 = LABEL_GUTTER + vp.x_of(s.end.min(vp.t1)).min(lay.canvas_w);
+        let shrink = (s.nest_level as f64 * 4.0).min(ROW_HEIGHT / 2.0 - 2.0);
         let y = lay.row_top(s.timeline) + 2.0 + shrink;
-        let h = (lay.row_h - 4.0 - 2.0 * shrink).max(2.0);
+        let h = (ROW_HEIGHT - 4.0 - 2.0 * shrink).max(2.0);
         let color = file
             .categories
             .get(s.category.as_usize())
@@ -408,8 +396,8 @@ pub(crate) fn svg_string(file: &Slog2File, vp: &Viewport, opts: &RenderOptions) 
 
     // Arrows (drawn over states, like Jumpshot's white arrows).
     for a in arrows {
-        let x0 = lay.gutter + vp.x_of(a.start);
-        let x1 = lay.gutter + vp.x_of(a.end);
+        let x0 = LABEL_GUTTER + vp.x_of(a.start);
+        let x1 = LABEL_GUTTER + vp.x_of(a.end);
         let y0 = lay.row_mid(a.from_timeline);
         let y1 = lay.row_mid(a.to_timeline);
         let color = file
@@ -437,7 +425,7 @@ pub(crate) fn svg_string(file: &Slog2File, vp: &Viewport, opts: &RenderOptions) 
 
     // Event bubbles on top.
     for e in events {
-        let x = lay.gutter + vp.x_of(e.time);
+        let x = LABEL_GUTTER + vp.x_of(e.time);
         let y = lay.row_mid(e.timeline);
         let color = file
             .categories
@@ -464,9 +452,9 @@ pub(crate) fn svg_string(file: &Slog2File, vp: &Viewport, opts: &RenderOptions) 
                 svg,
                 "<rect x=\"{g}\" y=\"0\" width=\"{w:.2}\" height=\"{h:.2}\" \
                  fill=\"#000\" opacity=\"0.55\" class=\"dim\"/>",
-                g = lay.gutter,
+                g = LABEL_GUTTER,
                 w = lay.canvas_w,
-                h = lay.rows as f64 * lay.row_h
+                h = lay.rows as f64 * ROW_HEIGHT
             );
         }
         for &(tl, s0, s1) in &ov.segments {
@@ -474,8 +462,8 @@ pub(crate) fn svg_string(file: &Slog2File, vp: &Viewport, opts: &RenderOptions) 
             if c1 < c0 {
                 continue;
             }
-            let x0 = lay.gutter + vp.x_of(c0).max(0.0);
-            let x1 = lay.gutter + vp.x_of(c1).min(lay.canvas_w);
+            let x0 = LABEL_GUTTER + vp.x_of(c0).max(0.0);
+            let x1 = LABEL_GUTTER + vp.x_of(c1).min(lay.canvas_w);
             let y = lay.row_mid(tl);
             let _ = writeln!(
                 svg,
@@ -490,8 +478,8 @@ pub(crate) fn svg_string(file: &Slog2File, vp: &Viewport, opts: &RenderOptions) 
             if t_recv < vp.t0 || t_send > vp.t1 {
                 continue;
             }
-            let x0 = lay.gutter + vp.x_of(t_send);
-            let x1 = lay.gutter + vp.x_of(t_recv);
+            let x0 = LABEL_GUTTER + vp.x_of(t_send);
+            let x1 = LABEL_GUTTER + vp.x_of(t_recv);
             let y0 = lay.row_mid(from);
             let y1 = lay.row_mid(to);
             let _ = writeln!(
@@ -507,16 +495,16 @@ pub(crate) fn svg_string(file: &Slog2File, vp: &Viewport, opts: &RenderOptions) 
     }
 
     // Time axis.
-    let axis_y = lay.rows as f64 * lay.row_h;
+    let axis_y = lay.rows as f64 * ROW_HEIGHT;
     let _ = writeln!(
         svg,
         "<line x1=\"{g}\" y1=\"{axis_y}\" x2=\"{x2}\" y2=\"{axis_y}\" stroke=\"#aaa\" stroke-width=\"1\"/>",
-        g = lay.gutter,
+        g = LABEL_GUTTER,
         x2 = lay.total_width()
     );
     for i in 0..=8 {
         let t = vp.t0 + vp.span() * i as f64 / 8.0;
-        let x = lay.gutter + vp.x_of(t);
+        let x = LABEL_GUTTER + vp.x_of(t);
         let _ = writeln!(
             svg,
             "<line x1=\"{x:.2}\" y1=\"{axis_y}\" x2=\"{x:.2}\" y2=\"{y2}\" stroke=\"#aaa\" stroke-width=\"1\"/>\
@@ -599,7 +587,7 @@ mod tests {
 
     #[test]
     fn narrow_states_become_preview_stripes() {
-        // 1000 states of 1 µs each across 1 s: far below min_state_px at
+        // 1000 states of 1 µs each across 1 s: far below MIN_STATE_PX at
         // 800 px, so nothing should render individually.
         let ds: Vec<_> = (0..1000)
             .map(|i| state(0, i as f64 * 1e-3, i as f64 * 1e-3 + 1e-6))

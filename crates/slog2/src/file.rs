@@ -29,7 +29,7 @@ use crate::drawable::{Category, Drawable};
 use crate::error::Slog2Error;
 use crate::id::{CategoryId, CategoryMap, TimelineId};
 use crate::tree::{FrameNode, FrameTree, Preview, PreviewEntry};
-use crate::window::{Query, TimeWindow};
+use crate::window::TimeWindow;
 
 const MAGIC: &[u8; 8] = b"PSLOG2\x00\x01";
 
@@ -222,16 +222,6 @@ impl Slog2File {
         } else {
             Err(Slog2Error::Validate(defects))
         }
-    }
-}
-
-impl Query for Slog2File {
-    fn drawables_in(&self, w: TimeWindow) -> Vec<&Drawable> {
-        self.tree.drawables_in(w)
-    }
-
-    fn preview_in(&self, w: TimeWindow) -> Preview {
-        self.tree.preview_in(w)
     }
 }
 

@@ -54,4 +54,4 @@ pub use source::{Mmap, TraceSource};
 pub use stats::{legend_stats, CategoryStats};
 pub use tree::{FrameNode, FrameTree, Preview};
 pub use validate::{validate, Defect};
-pub use window::{Query, TimeWindow};
+pub use window::TimeWindow;

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use crate::drawable::Drawable;
 use crate::file::Slog2File;
 use crate::id::{CategoryId, TimelineId};
-use crate::window::{Query, TimeWindow};
+use crate::window::TimeWindow;
 
 /// Per-category aggregate statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -37,7 +37,7 @@ pub fn legend_stats(file: &Slog2File) -> BTreeMap<CategoryId, CategoryStats> {
         stats.insert(c.index, CategoryStats::default());
     }
 
-    let drawables = file.drawables_in(TimeWindow::ALL);
+    let drawables = file.tree.query(TimeWindow::ALL);
 
     // Group states per timeline for the exclusive-time sweep.
     let mut per_timeline: BTreeMap<TimelineId, Vec<&crate::drawable::StateDrawable>> =
@@ -94,7 +94,7 @@ pub fn legend_stats(file: &Slog2File) -> BTreeMap<CategoryId, CategoryStats> {
 /// category.
 pub fn timeline_category_time(file: &Slog2File, category: CategoryId) -> BTreeMap<TimelineId, f64> {
     let mut out = BTreeMap::new();
-    for d in file.drawables_in(TimeWindow::ALL) {
+    for d in file.tree.query(TimeWindow::ALL) {
         if let Drawable::State(s) = d {
             if s.category == category {
                 *out.entry(s.timeline).or_insert(0.0) += s.end - s.start;

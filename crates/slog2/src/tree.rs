@@ -15,7 +15,7 @@
 use crate::columnar::DrawableColumns;
 use crate::drawable::Drawable;
 use crate::id::CategoryId;
-use crate::window::{Query, TimeWindow};
+use crate::window::TimeWindow;
 
 /// Per-category aggregate used for zoomed-out rendering.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -170,15 +170,27 @@ impl FrameTree {
         build_tree(cols, rows, t0, t1, capacity, max_depth, parallelism)
     }
 
-    /// All drawables overlapping the closed window `w`.
+    /// All drawables overlapping the closed window `w` (per
+    /// [`TimeWindow::overlaps`]), in deterministic traversal order.
     pub fn query(&self, w: TimeWindow) -> Vec<&Drawable> {
-        self.drawables_in(w)
+        let mut out = Vec::new();
+        query_node(&self.root, w, &mut out);
+        out
     }
 
-    /// Exact per-category coverage *clipped to* the window `w`.
-    /// Used by the renderer to draw proportional preview stripes.
+    /// Number of drawables overlapping `w`.
+    pub fn count_in(&self, w: TimeWindow) -> usize {
+        self.query(w).len()
+    }
+
+    /// Exact per-category count/coverage *clipped to* the window `w`,
+    /// taken from precomputed node previews wherever a whole subtree
+    /// lies inside `w`. Used by the renderer to draw proportional
+    /// preview stripes.
     pub fn window_preview(&self, w: TimeWindow) -> Preview {
-        self.preview_in(w)
+        let mut p = Preview::default();
+        window_preview_node(&self.root, w, &mut p);
+        p
     }
 
     /// Visit every node, parents before children.
@@ -362,20 +374,6 @@ fn build_node<R: Rows>(
         drawables: rows.drawables(here),
         preview,
         children,
-    }
-}
-
-impl Query for FrameTree {
-    fn drawables_in(&self, w: TimeWindow) -> Vec<&Drawable> {
-        let mut out = Vec::new();
-        query_node(&self.root, w, &mut out);
-        out
-    }
-
-    fn preview_in(&self, w: TimeWindow) -> Preview {
-        let mut p = Preview::default();
-        window_preview_node(&self.root, w, &mut p);
-        p
     }
 }
 

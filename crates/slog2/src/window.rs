@@ -11,14 +11,13 @@
 //!   touching at either boundary counts, so an event sitting exactly on
 //!   a window edge is drawn, matching Jumpshot's behaviour.
 //!
-//! [`Query`] is the read-side trait over that definition: anything that
-//! can answer "what is in this window?" — a [`FrameTree`], a whole
-//! [`Slog2File`], or the service's per-rank index — implements it, and
-//! callers (renderers, the HTTP server, benchmarks) stay agnostic about
-//! which one they are talking to.
+//! The frame tree answers "what is in this window?" with
+//! [`FrameTree::query`](crate::FrameTree::query),
+//! [`window_preview`](crate::FrameTree::window_preview) and
+//! [`count_in`](crate::FrameTree::count_in); a whole file answers
+//! through its `tree`.
 
 use crate::drawable::Drawable;
-use crate::tree::Preview;
 
 /// A closed time interval `[t0, t1]`, in seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,27 +93,6 @@ impl TimeWindow {
 impl From<(f64, f64)> for TimeWindow {
     fn from((t0, t1): (f64, f64)) -> TimeWindow {
         TimeWindow::new(t0, t1)
-    }
-}
-
-/// Read-side query API over a time-indexed drawable collection.
-///
-/// Implemented by [`FrameTree`](crate::FrameTree) and
-/// [`Slog2File`](crate::Slog2File) here, and by the `pilotd` service's
-/// per-rank interval index in `crates/timeline`.
-pub trait Query {
-    /// All drawables overlapping `w` (per [`TimeWindow::overlaps`]), in
-    /// the implementation's deterministic traversal order.
-    fn drawables_in(&self, w: TimeWindow) -> Vec<&Drawable>;
-
-    /// Exact per-category count/coverage aggregate, durations clipped to
-    /// `w`. Implementations may satisfy this from precomputed node
-    /// previews without touching individual drawables.
-    fn preview_in(&self, w: TimeWindow) -> Preview;
-
-    /// Number of drawables overlapping `w` without materializing them.
-    fn count_in(&self, w: TimeWindow) -> usize {
-        self.drawables_in(w).len()
     }
 }
 

@@ -5,7 +5,7 @@ use mpelog::record::Record;
 use mpelog::{Clog2File, Color, Logger};
 use proptest::prelude::*;
 use slog2::{
-    legend_stats, ConvertWarning, Converter, Drawable, FailureKind, FrameTree, Query, RankVerdict,
+    legend_stats, ConvertWarning, Converter, Drawable, FailureKind, FrameTree, RankVerdict,
     SalvageReport, Slog2File, TimeWindow, TornPolicy, TraceSource,
 };
 use slog2::{Category, CategoryId, CategoryKind, EventDrawable, StateDrawable, TimelineId};
@@ -109,13 +109,13 @@ proptest! {
             prop_assert!(TimeWindow::new(d.start(), d.start()).overlaps(d));
             prop_assert!(TimeWindow::new(d.end(), d.end()).overlaps(d));
         }
-        // Query-trait counting agrees with the rule.
+        // `count_in` agrees with the rule.
         let tree = FrameTree::build(ds.clone(), 0.0, 105.0, 8, 12);
         let want = ds.iter().filter(|d| w.overlaps(d)).count();
         prop_assert_eq!(tree.count_in(w), want);
     }
 
-    /// `preview_in` (which may shortcut through precomputed node
+    /// `window_preview` (which may shortcut through precomputed node
     /// aggregates) counts exactly the drawables the full scan finds, and
     /// its coverage equals the sum of clipped durations.
     #[test]
@@ -127,7 +127,7 @@ proptest! {
     ) {
         let w = TimeWindow::new(a, a + span);
         let tree = FrameTree::build(ds.clone(), 0.0, 105.0, capacity, 12);
-        let p = tree.preview_in(w);
+        let p = tree.window_preview(w);
         let want_count = ds.iter().filter(|d| w.overlaps(d)).count() as u64;
         prop_assert_eq!(p.total_count(), want_count);
         let want_cov: f64 = ds

@@ -8,7 +8,7 @@
 //! The index never mutates after construction, so the query service can
 //! share it across worker threads with no locking.
 
-use slog2::{ArrowDrawable, Drawable, FrameTree, Preview, Query, Slog2File, TimeWindow};
+use slog2::{ArrowDrawable, Drawable, FrameTree, Preview, Slog2File, TimeWindow};
 
 /// Frame capacity for the per-rank trees. Per-rank trees hold fewer
 /// drawables than the whole file, so a smaller frame keeps the tree
@@ -33,7 +33,7 @@ impl TimelineIndex {
         let nranks = file.timelines.len();
         let mut per_rank: Vec<Vec<Drawable>> = vec![Vec::new(); nranks];
         let mut arrows: Vec<Drawable> = Vec::new();
-        for d in file.drawables_in(TimeWindow::ALL) {
+        for d in file.tree.query(TimeWindow::ALL) {
             match d {
                 Drawable::State(s) => {
                     if let Some(v) = per_rank.get_mut(s.timeline.as_usize()) {
@@ -112,10 +112,9 @@ impl TimelineIndex {
     pub fn arrows_in(&self, w: TimeWindow) -> Vec<&Drawable> {
         self.arrows.query(w)
     }
-}
 
-impl Query for TimelineIndex {
-    fn drawables_in(&self, w: TimeWindow) -> Vec<&Drawable> {
+    /// Every rank's drawables overlapping `w`, then the arrows.
+    pub fn drawables_in(&self, w: TimeWindow) -> Vec<&Drawable> {
         let mut out = Vec::new();
         for tree in &self.ranks {
             out.extend(tree.query(w));
@@ -124,7 +123,8 @@ impl Query for TimelineIndex {
         out
     }
 
-    fn preview_in(&self, w: TimeWindow) -> Preview {
+    /// The whole index's per-category aggregate over `w`.
+    pub fn preview_in(&self, w: TimeWindow) -> Preview {
         let mut p = Preview::default();
         for tree in &self.ranks {
             p.merge(&tree.window_preview(w));
@@ -230,7 +230,7 @@ mod tests {
                 .iter()
                 .map(|d| format!("{d:?}"))
                 .collect();
-            let mut b: Vec<String> = f.drawables_in(w).iter().map(|d| format!("{d:?}")).collect();
+            let mut b: Vec<String> = f.tree.query(w).iter().map(|d| format!("{d:?}")).collect();
             a.sort();
             b.sort();
             assert_eq!(a, b, "window {w:?}");

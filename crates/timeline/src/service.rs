@@ -15,7 +15,7 @@ use analysis::TraceAnalyzer;
 use jumpshot::{renderer_by_name, PathOverlay, RenderOptions};
 use obs::{ObsHandle, Phase};
 use pilot_vis::json::Json;
-use slog2::{Drawable, Query, Slog2Error, Slog2File, TimeWindow};
+use slog2::{Drawable, Slog2Error, Slog2File, TimeWindow};
 
 use crate::cache::{TileCache, TileKey};
 use crate::index::TimelineIndex;
@@ -235,7 +235,7 @@ impl TimelineService {
     pub fn warnings_json(&self) -> String {
         self.count_query();
         let mut verdicts = Vec::new();
-        for d in self.file.drawables_in(TimeWindow::ALL) {
+        for d in self.file.tree.query(TimeWindow::ALL) {
             if let Drawable::State(s) = d {
                 let name = self
                     .file

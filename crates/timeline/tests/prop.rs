@@ -5,7 +5,7 @@
 use mpelog::Color;
 use proptest::prelude::*;
 use slog2::{
-    ArrowDrawable, Category, CategoryId, CategoryKind, Drawable, EventDrawable, FrameTree, Query,
+    ArrowDrawable, Category, CategoryId, CategoryKind, Drawable, EventDrawable, FrameTree,
     Slog2File, StateDrawable, TimeWindow, TimelineId,
 };
 use timeline::{TimelineIndex, TimelineService};

@@ -6,8 +6,8 @@
 //! is a pure chain, so the trace is a long diagonal of arrows — easy to
 //! eyeball in a viewer and cheap enough that a thousand-rank world
 //! finishes in milliseconds under the virtual engine. Used by
-//! `repro sim-bench` and the `sim-smoke` CI job as the thousand-rank
-//! determinism workload.
+//! `repro sim-bench` (run by the `perf-gate` CI job) as the
+//! thousand-rank determinism workload.
 
 use std::sync::Mutex;
 
