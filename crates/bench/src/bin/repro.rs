@@ -1837,10 +1837,11 @@ fn diff_cmd(
 }
 
 /// `bench-diff` — gate current `BENCH_*.json` reports against
-/// committed baselines. Missing baseline dir, unparsable reports, and
-/// absent current counterparts all fail loudly; `warn_only` reports
-/// the same table but never fails (the mode pushes to main use, so a
-/// regressed baseline can land and be refreshed).
+/// committed baselines. Missing baseline dir, unparsable reports,
+/// absent current counterparts, and pairs run on different core counts
+/// all fail loudly; `warn_only` reports the same table but never fails
+/// (the mode pushes to main use, so a regressed baseline can land and
+/// be refreshed).
 fn bench_diff_cmd(
     baseline_dir: &str,
     current_dir: &str,
@@ -1870,6 +1871,7 @@ fn bench_diff_cmd(
 
     let mut reports = Vec::new();
     let mut missing_current = Vec::new();
+    let mut cross_core = Vec::new();
     let mut regressed_total = 0usize;
     for name in &names {
         let read = |dir: &str| {
@@ -1881,8 +1883,14 @@ fn bench_diff_cmd(
             missing_current.push(name.clone());
             continue;
         };
+        let cores = diff::Cores::of(&base, &cur);
+        if let diff::Cores::Differ { .. } = cores {
+            eprintln!("  {name}: {cores} — not compared, counts as failure");
+            cross_core.push(name.clone());
+            continue;
+        }
         let d = diff::diff_bench(name, &base, &cur, max_regress_pct);
-        println!("== {name} ==");
+        println!("== {name} == ({cores})");
         for m in &d.metrics {
             let flag = match m.verdict {
                 diff::DeltaVerdict::Regressed => "  <-- REGRESSED",
@@ -1906,8 +1914,8 @@ fn bench_diff_cmd(
         reports.push(d);
     }
 
-    let ok = regressed_total == 0 && missing_current.is_empty();
-    let missing = missing_current.iter().map(|s| Json::Str(s.clone()));
+    let ok = regressed_total == 0 && missing_current.is_empty() && cross_core.is_empty();
+    let names = |v: &[String]| Json::Arr(v.iter().map(|s| Json::Str(s.clone())).collect());
     let mut report = Report::default();
     report
         .num("max_regress_pct", max_regress_pct)
@@ -1916,7 +1924,8 @@ fn bench_diff_cmd(
             "reports",
             Json::Arr(reports.iter().map(diff::BenchDiff::to_json_value).collect()),
         )
-        .put("missing_current", Json::Arr(missing.collect()))
+        .put("missing_current", names(&missing_current))
+        .put("cross_core", names(&cross_core))
         .num("regressed", regressed_total as f64)
         .put("passed", Json::Bool(ok));
     report.write("BENCH_DIFF.json");
@@ -1928,13 +1937,15 @@ fn bench_diff_cmd(
         );
     } else if warn_only {
         println!(
-            "  perf gate: {regressed_total} regression(s), {} missing — WARN ONLY, not failing",
-            missing_current.len()
+            "  perf gate: {regressed_total} regression(s), {} missing, {} cross-core — WARN ONLY, not failing",
+            missing_current.len(),
+            cross_core.len()
         );
     } else {
         eprintln!(
-            "bench-diff FAILED: {regressed_total} regression(s), {} missing report(s) (gate {max_regress_pct}%)",
-            missing_current.len()
+            "bench-diff FAILED: {regressed_total} regression(s), {} missing report(s), {} cross-core pair(s) (gate {max_regress_pct}%)",
+            missing_current.len(),
+            cross_core.len()
         );
     }
     ok || warn_only

@@ -197,6 +197,49 @@ impl BenchDiff {
     }
 }
 
+/// Whether two reports ran on comparable hardware, by their `cores`
+/// fields. Timings from different core counts measure the host, not
+/// the code, so such a pair is refused rather than compared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cores {
+    /// Both reports ran on this many cores.
+    Same(u64),
+    /// A report does not record `cores` (older baselines): compared
+    /// anyway.
+    Unknown,
+    /// The reports ran on different core counts: not comparable.
+    Differ {
+        /// The baseline's core count.
+        baseline: u64,
+        /// The current report's core count.
+        current: u64,
+    },
+}
+
+impl Cores {
+    /// Compare the `cores` fields of two parsed reports.
+    pub fn of(baseline: &Json, current: &Json) -> Cores {
+        let cores = |v: &Json| v.get("cores").and_then(Json::as_u64);
+        match (cores(baseline), cores(current)) {
+            (Some(b), Some(c)) if b == c => Cores::Same(b),
+            (Some(baseline), Some(current)) => Cores::Differ { baseline, current },
+            _ => Cores::Unknown,
+        }
+    }
+}
+
+impl std::fmt::Display for Cores {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Cores::Same(n) => write!(f, "cores: {n}"),
+            Cores::Unknown => write!(f, "cores: unknown"),
+            Cores::Differ { baseline, current } => {
+                write!(f, "cores: baseline {baseline}, current {current}")
+            }
+        }
+    }
+}
+
 fn numeric_fields(v: &Json) -> Vec<(String, f64)> {
     match v {
         Json::Obj(fields) => fields
@@ -431,6 +474,39 @@ mod tests {
         let d = diff_bench("x", &base, &cur, 15.0);
         assert_eq!(d.missing_in_current, vec!["old_s".to_string()]);
         assert_eq!(d.missing_in_baseline, vec!["new_s".to_string()]);
+    }
+
+    fn with_cores(n: u64) -> Json {
+        Json::parse(&format!(r#"{{"cores": {n}, "p99_ms": 4.0}}"#)).unwrap()
+    }
+
+    #[test]
+    fn equal_cores_compare() {
+        let c = Cores::of(&with_cores(2), &with_cores(2));
+        assert_eq!(c, Cores::Same(2));
+        assert_eq!(c.to_string(), "cores: 2");
+    }
+
+    #[test]
+    fn baseline_without_cores_compares_as_unknown() {
+        // The committed baselines predate `cores`: compared as before.
+        let base = Json::parse(r#"{"p99_ms": 4.0}"#).unwrap();
+        let c = Cores::of(&base, &with_cores(4));
+        assert_eq!(c, Cores::Unknown);
+        assert_eq!(c.to_string(), "cores: unknown");
+    }
+
+    #[test]
+    fn differing_cores_are_refused() {
+        let c = Cores::of(&with_cores(1), &with_cores(4));
+        assert_eq!(
+            c,
+            Cores::Differ {
+                baseline: 1,
+                current: 4
+            }
+        );
+        assert_eq!(c.to_string(), "cores: baseline 1, current 4");
     }
 
     #[test]

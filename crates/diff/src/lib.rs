@@ -35,7 +35,7 @@ pub mod render;
 pub mod report;
 
 pub use align::{align, AlignedPair, Alignment};
-pub use bench::{diff_bench, BenchDiff, Direction, MetricDiff};
+pub use bench::{diff_bench, BenchDiff, Cores, Direction, MetricDiff};
 pub use delta::{trace_delta, CategoryDelta, TimelineDelta, TraceDelta};
 pub use issue::{diff_issues, measure_phases, DeltaVerdict, IssueDiff, PhaseDelta};
 pub use render::{render_side_by_side, stacked};

@@ -69,7 +69,7 @@ use crate::columnar::DrawableColumns;
 use crate::drawable::{Category, CategoryKind};
 use crate::file::Slog2File;
 use crate::id::{CategoryId, TimelineId};
-use crate::oocore::ExtSorter;
+use crate::oocore::{ExtSorter, SortedIter};
 use crate::scan::{CategoryTable, MsgKey, RankScan};
 use crate::source::{Scanned, TraceSource};
 use crate::tree::FrameTree;
@@ -545,7 +545,7 @@ impl Converter {
             for i in 0..cols.len() {
                 keys.push(cols.equal_key(i))?;
             }
-            report_equal_drawables(keys, &table.categories, &mut warnings)?;
+            report_equal_drawables(keys.into_sorted()?, &table.categories, &mut warnings)?;
         }
         note_totals(obs, cols.n_arrows(), warnings.len() - scan_warnings);
 
@@ -877,15 +877,14 @@ pub(crate) fn match_all_arrows(
 /// Equal-Drawables group key: (category, placement, bit-exact interval).
 pub(crate) type EqualKey = (u32, u32, u32, u64, u64);
 
-/// Report the Equal-Drawables groups among `keys` — every run of two or
-/// more equal keys, in key order. In memory the sorter never spills;
-/// out-of-core it merges its spilled runs.
+/// Report the Equal-Drawables groups among the `sorted` keys — every
+/// run of two or more equal keys, in key order. In memory the sorter
+/// never spills; out-of-core it merges its spilled runs.
 pub(crate) fn report_equal_drawables(
-    keys: ExtSorter<EqualKey>,
+    mut sorted: SortedIter,
     categories: &[Category],
     warnings: &mut Vec<ConvertWarning>,
 ) -> std::io::Result<()> {
-    let mut sorted = keys.into_sorted()?;
     let mut run: Option<(EqualKey, usize)> = None;
     loop {
         let next = sorted.next_rec()?;

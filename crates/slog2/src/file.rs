@@ -277,6 +277,14 @@ impl Header<'_> {
     }
 }
 
+/// Encoded size of a node frame ([`encode_frame`]).
+pub(crate) const FRAME_BYTES: u64 = 8 + 8 + 4 + 1 + 4;
+
+/// Encoded size of a node preview ([`encode_preview`]).
+pub(crate) fn preview_bytes(preview: &Preview) -> u64 {
+    4 + (4 + 8 + 8) * preview.entries.len() as u64
+}
+
 /// A node's frame, ahead of its `n_drawables` encoded drawables.
 pub(crate) fn encode_frame(
     w: &mut Writer,

@@ -457,8 +457,10 @@ proptest! {
                 .unwrap();
             prop_assert_eq!(mm.file.to_bytes(), want.clone(), "Mmap, {} threads", threads);
 
-            // Out-of-core: unbounded, and a 1-byte budget that forces
-            // every sorter to spill runs to disk.
+            // Out-of-core: unbounded, and a 1-byte budget. The budget
+            // clamps to 64 KiB per run buffer, which logs this small
+            // never fill, so both runs stay resident here; the tiled
+            // case below is the one that spills.
             for budget in [None, Some(1usize)] {
                 let mut oc = Converter::new().parallelism(threads).spill_dir(dir.clone());
                 if let Some(bytes) = budget {
@@ -528,5 +530,135 @@ proptest! {
             let _ = std::fs::remove_file(&out);
             prop_assert_eq!(got, want.clone(), "salvage oocore, {} threads", threads);
         }
+    }
+}
+
+/// The generated per-rank records tiled `k` times, each copy shifted
+/// past the generator's 0.5 s clock span. Every tile also carries a
+/// well-formed backbone on each rank — nested `outer`/`inner` states,
+/// ten `tick` events and a ring of sends and receives on a tag the
+/// generator never draws — so the log holds arrows and several
+/// categories whatever the generator drew.
+fn tiled(per_rank: &[Vec<Record>], k: usize) -> Vec<Vec<Record>> {
+    let n = per_rank.len();
+    per_rank
+        .iter()
+        .enumerate()
+        .map(|(r, records)| {
+            let mut lg = Logger::new(r);
+            let (outer_s, outer_e) = lg.define_state("outer", Color::RED);
+            let (inner_s, inner_e) = lg.define_state("inner", Color::GREEN);
+            let tick = lg.define_event("tick", Color::YELLOW);
+            let mut out = Vec::new();
+            for j in 0..k {
+                let base = j as f64 * 0.5;
+                out.extend(records.iter().cloned().map(|mut rec| {
+                    match &mut rec {
+                        Record::Event { ts, .. }
+                        | Record::Send { ts, .. }
+                        | Record::Recv { ts, .. } => *ts += base,
+                    }
+                    rec
+                }));
+                let seen = lg.records().len();
+                let t = |i: u32| base + 0.45 + r as f64 * 1e-4 + f64::from(i) * 1e-3;
+                lg.log_event(t(0), outer_s, "Line: 1");
+                for i in 1..=10 {
+                    lg.log_event(t(i), tick, "Chan: C0");
+                }
+                lg.log_event(t(11), inner_s, "Line: 2");
+                lg.log_send(t(12), (r + 1) % n, 9, 16);
+                lg.log_event(t(13), inner_e, "");
+                lg.log_receive(t(14), (r + n - 1) % n, 9, 16);
+                lg.log_event(t(15), outer_e, "");
+                out.extend_from_slice(&lg.records()[seen..]);
+            }
+            out
+        })
+        .collect()
+}
+
+/// Convert `src` out of core under a 1-byte budget; returns the
+/// summary, the file, and how many key and placement runs spilled.
+fn spilled_convert(
+    conv: Converter,
+    src: TraceSource<'_>,
+    out: &std::path::Path,
+) -> (slog2::ConvertSummary, Vec<u8>, u64, u64) {
+    let o = obs::Obs::handle();
+    let summary = conv
+        .memory_budget(1)
+        .spill_dir(prop_dir())
+        .observability(o.clone())
+        .convert_to_path(src, out)
+        .unwrap();
+    let bytes = std::fs::read(out).unwrap();
+    let _ = std::fs::remove_file(out);
+    let snap = o.snapshot();
+    (
+        summary,
+        bytes,
+        snap.counter("convert.oocore.key_runs"),
+        snap.counter("convert.oocore.row_runs"),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Logs large enough to overflow the 64 KiB run clamp: under a
+    /// 1-byte budget the Equal-Drawables key sorter and the placement
+    /// runs each spill at least three times, strict and under salvage
+    /// (whose terminal shard spills as its own segment), and the file
+    /// and warnings still equal the in-memory converter's.
+    #[test]
+    fn spilling_out_of_core_runs_are_byte_identical(
+        per_rank in arb_rank_records(),
+        keep in 0.9f64..1.0,
+    ) {
+        let k = 6_000usize.div_ceil(12 * per_rank.len());
+        let clog = clog_from(tiled(&per_rank, k));
+        let bytes = clog.to_bytes();
+        let dir = prop_dir();
+        let case = case_id();
+
+        let baseline = Converter::new()
+            .parallelism(1)
+            .convert(TraceSource::InMemory(&clog))
+            .unwrap();
+        let want = baseline.file.to_bytes();
+        for threads in [1usize, 2] {
+            let out = dir.join(format!("tiled-{case}-t{threads}.pslog2"));
+            let conv = Converter::new().parallelism(threads);
+            let (summary, got, key_runs, row_runs) =
+                spilled_convert(conv, TraceSource::Bytes(&bytes), &out);
+            prop_assert!(key_runs >= 3 && row_runs >= 3,
+                "{} key runs, {} placement runs", key_runs, row_runs);
+            prop_assert_eq!(&summary.warnings, &baseline.warnings, "warnings, {} threads", threads);
+            prop_assert_eq!(got, want.clone(), "bytes, {} threads", threads);
+        }
+
+        let torn = &bytes[..(bytes.len() as f64 * keep) as usize];
+        let policy = TornPolicy::Salvage(SalvageReport {
+            verdicts: vec![RankVerdict {
+                rank: 0,
+                kind: FailureKind::Aborted,
+                detail: "proptest tear".into(),
+            }],
+            truncated: true,
+            ..Default::default()
+        });
+        let baseline = Converter::new()
+            .parallelism(1)
+            .on_torn(policy.clone())
+            .convert(TraceSource::Bytes(torn))
+            .unwrap();
+        let out = dir.join(format!("tiled-salvage-{case}.pslog2"));
+        let conv = Converter::new().parallelism(2).on_torn(policy);
+        let (summary, got, key_runs, row_runs) = spilled_convert(conv, TraceSource::Bytes(torn), &out);
+        prop_assert!(key_runs >= 3 && row_runs >= 3,
+            "salvage: {} key runs, {} placement runs", key_runs, row_runs);
+        prop_assert_eq!(&summary.warnings, &baseline.warnings, "salvage warnings");
+        prop_assert_eq!(got, baseline.file.to_bytes(), "salvage bytes");
     }
 }
