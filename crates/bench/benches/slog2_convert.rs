@@ -4,7 +4,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use mpelog::Clog2File;
 use slog2::{Converter, TraceSource};
 use workloads::synthetic_clog;
 
@@ -96,40 +95,12 @@ fn bench_parallel_convert(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_streaming_convert(c: &mut Criterion) {
-    // Whole-file (parse then convert) vs incremental decode over the
-    // same encoded bytes; both produce byte-identical SLOG2 output.
-    let clog = synthetic_clog(6, 12_000);
-    let bytes = clog.to_bytes();
-    let mut group = c.benchmark_group("convert_streaming");
-    group.sample_size(10);
-    group.bench_function("whole_file", |b| {
-        b.iter(|| {
-            let parsed = Clog2File::from_bytes(&bytes).unwrap();
-            Converter::new()
-                .parallelism(1)
-                .convert(TraceSource::InMemory(&parsed))
-                .unwrap()
-        })
-    });
-    group.bench_function("streamed", |b| {
-        b.iter(|| {
-            Converter::new()
-                .parallelism(1)
-                .convert(TraceSource::reader(&bytes[..]))
-                .unwrap()
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_convert_scaling,
     bench_frame_capacity,
     bench_file_roundtrip,
     bench_tree_query,
-    bench_parallel_convert,
-    bench_streaming_convert
+    bench_parallel_convert
 );
 criterion_main!(benches);

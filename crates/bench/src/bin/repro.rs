@@ -377,7 +377,7 @@ fn clocksync() {
     println!("  lab2 with 0.2s/rank injected drift after sync: {backward} backward arrows");
 }
 
-/// Time serial vs parallel vs streaming vs mmap conversion over a
+/// Time serial vs parallel vs mmap conversion over a
 /// synthetic trace (≈144k drawables) and write
 /// `out/BENCH_convert.json` — the artifact CI uploads so the sharded
 /// pipeline's speedup is tracked per-commit. The headline rate is
@@ -392,10 +392,9 @@ fn convert_bench(reps: usize, parallel: usize) {
         "== convert-bench: {ranks} ranks x {calls} calls, {threads} worker threads, {reps} reps =="
     );
     let clog = workloads::synthetic_clog(ranks, calls);
-    let bytes = clog.to_bytes();
     // A scratch input for the mmap row, removed below: not an artifact.
     let mmap_path = out_dir().join("convert_bench_input.pclog2");
-    std::fs::write(&mmap_path, &bytes).expect("write mmap input");
+    std::fs::write(&mmap_path, clog.to_bytes()).expect("write mmap input");
 
     let median_secs = |f: &dyn Fn() -> usize| -> (f64, usize) {
         let mut samples = Vec::with_capacity(reps.max(1));
@@ -418,7 +417,6 @@ fn convert_bench(reps: usize, parallel: usize) {
     let sharded = Converter::new().parallelism(threads);
     let (serial_s, drawables) = median_secs(&|| count(&serial, TraceSource::InMemory(&clog)));
     let (parallel_s, _) = median_secs(&|| count(&sharded, TraceSource::InMemory(&clog)));
-    let (stream_s, _) = median_secs(&|| count(&serial, TraceSource::reader(&bytes[..])));
     // The zero-copy read path: map the encoded file and scan records in
     // place (parse + convert, where the in-memory rows above pre-paid
     // the parse).
@@ -459,7 +457,6 @@ fn convert_bench(reps: usize, parallel: usize) {
     println!(
         "  parallel  {parallel_s:.4}s  ({speedup:.2}x, {threads} threads, {per_core:.0} drawables/s/core)"
     );
-    println!("  streaming {stream_s:.4}s  (serial, incremental decode)");
     println!("  mmap      {mmap_s:.4}s  (zero-copy scan, {threads} threads)");
     println!("  metrics   {metrics_s:.4}s  (parallel + obs attached, {metrics_overhead_pct:+.2}% overhead)");
 
@@ -472,7 +469,6 @@ fn convert_bench(reps: usize, parallel: usize) {
         .num("threads", threads as f64)
         .num("serial_s", serial_s)
         .num("parallel_s", parallel_s)
-        .num("streaming_s", stream_s)
         .num("mmap_s", mmap_s)
         .num("speedup", speedup)
         .num("drawables_per_sec_per_core", per_core)
@@ -482,10 +478,12 @@ fn convert_bench(reps: usize, parallel: usize) {
     let _ = std::fs::remove_file(&mmap_path);
 }
 
-/// Out-of-core scale bench: synthesize a trace with ≈`target` drawables
-/// (streamed — never materialized), convert it under `budget_mb` with
-/// `convert_to_path`, and pin determinism by digest-comparing a second
-/// serial run and a threaded run. Writes `out/BENCH_convert_scale.json`.
+/// Out-of-core scale bench: write a synthetic trace with ≈`target`
+/// drawables to a scratch file (streamed from the generator, never
+/// materialized), convert it through `TraceSource::mmap` under
+/// `budget_mb` with `convert_to_path`, and pin determinism by
+/// digest-comparing a second serial run and a threaded run. `wall_s`
+/// times the conversion only. Writes `out/BENCH_convert_scale.json`.
 fn convert_bench_scale(target: usize, ranks: usize, budget_mb: usize) -> bool {
     use workloads::SyntheticClogReader;
 
@@ -494,6 +492,11 @@ fn convert_bench_scale(target: usize, ranks: usize, budget_mb: usize) -> bool {
     println!(
         "== convert-bench --drawables {target}: {ranks} ranks x {calls} calls, {budget_mb} MiB budget =="
     );
+    // A scratch input, removed below: not an artifact.
+    let input = out_dir().join("convert_scale_input.pclog2");
+    let mut file = std::io::BufWriter::new(std::fs::File::create(&input).expect("create input"));
+    std::io::copy(&mut SyntheticClogReader::new(ranks, calls), &mut file).expect("write input");
+    file.into_inner().expect("flush input");
     let out = out_dir().join("convert_scale.pslog2");
     // Runs 0 and 1 are serial; run 2 uses every core (at least two).
     let threaded = Converter::new().parallelism(0).effective_parallelism();
@@ -501,7 +504,7 @@ fn convert_bench_scale(target: usize, ranks: usize, budget_mb: usize) -> bool {
         3,
         |run| {
             let threads = if run < 2 { 1 } else { threaded.max(2) };
-            let src = TraceSource::reader(SyntheticClogReader::new(ranks, calls));
+            let src = TraceSource::mmap(&input).expect("map input");
             let conv = Converter::new()
                 .parallelism(threads)
                 .memory_budget(budget_mb << 20);
@@ -516,6 +519,7 @@ fn convert_bench_scale(target: usize, ranks: usize, budget_mb: usize) -> bool {
         },
         |(_, summary)| format!("{:016x}", summary.digest),
     );
+    let _ = std::fs::remove_file(&input);
     let _ = std::fs::remove_file(&out);
     let (wall_s, summary) = match first {
         Ok(first) => first,

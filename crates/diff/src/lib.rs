@@ -8,9 +8,9 @@
 //! pronounces each detected issue `Fixed`, `Regressed`, or
 //! `Unchanged` with the recoverable seconds actually recovered.
 //!
-//! * [`align`] — per-timeline pairing by name then position, with an
-//!   LCS similarity score over category sequences; tolerant of
-//!   rank-count mismatches and salvaged/`ABORTED` tails.
+//! * [`align`](mod@align) — per-timeline pairing by name then
+//!   position, with an LCS similarity score over category sequences;
+//!   tolerant of rank-count mismatches and salvaged/`ABORTED` tails.
 //! * [`delta`] — per-timeline state-duration, busy/blocked, and
 //!   message-count deltas plus trace-level makespan/drawable counts.
 //! * [`issue`] — verdict-level diffing ([`DeltaVerdict`]) and
@@ -20,7 +20,7 @@
 //! * [`render`] — the two-lane side-by-side render: both traces
 //!   stacked into one canvas (rows prefixed `A:` / `B:`) through the
 //!   existing `jumpshot::Renderer` backends, with delta annotations.
-//! * [`bench`] — the same delta/verdict shape applied to
+//! * [`bench`](mod@bench) — the same delta/verdict shape applied to
 //!   `BENCH_*.json` reports, so CI can fail on perf regressions
 //!   (`repro bench-diff`).
 //!
@@ -39,4 +39,4 @@ pub use bench::{diff_bench, BenchDiff, Cores, Direction, MetricDiff};
 pub use delta::{trace_delta, CategoryDelta, TimelineDelta, TraceDelta};
 pub use issue::{diff_issues, measure_phases, DeltaVerdict, IssueDiff, PhaseDelta};
 pub use render::{render_side_by_side, stacked};
-pub use report::{diff_traces, fnv1a, TraceDiff};
+pub use report::{diff_traces, TraceDiff};

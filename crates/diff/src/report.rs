@@ -10,24 +10,12 @@
 
 use analysis::{Diagnosis, TraceAnalyzer, VerdictKind};
 use pilot_vis::json::Json;
+use slog2::fnv::{fnv1a, FNV_SEED};
 use slog2::{Slog2File, TimeWindow};
 
 use crate::align::{align, Alignment};
 use crate::delta::{trace_delta, TraceDelta};
 use crate::issue::{diff_issues, measure_phases, DeltaVerdict, IssueDiff, PhaseDelta};
-
-/// FNV-1a over the serialized file — the digest that identifies each
-/// side of the comparison (same constants as the timeline service's
-/// trace digest, duplicated here because `timeline` depends on this
-/// crate, not the other way around).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// The complete comparison of two traces.
 #[derive(Debug, Clone, PartialEq)]
@@ -277,7 +265,10 @@ pub fn diff_traces(before: &Slog2File, after: &Slog2File, labels: (&str, &str)) 
     TraceDiff {
         before_label: labels.0.to_string(),
         after_label: labels.1.to_string(),
-        digests: (fnv1a(&before.to_bytes()), fnv1a(&after.to_bytes())),
+        digests: (
+            fnv1a(FNV_SEED, &before.to_bytes()),
+            fnv1a(FNV_SEED, &after.to_bytes()),
+        ),
         diag_before,
         diag_after,
         alignment,

@@ -7,7 +7,7 @@
 //! * a **state** wide enough on screen becomes a filled rectangle whose
 //!   height shrinks with nesting level (inner rectangles inside outer
 //!   ones); its popup text becomes an SVG `<title>` tooltip;
-//! * a state **too narrow to see** (below [`MIN_STATE_PX`]) instead
+//! * a state **too narrow to see** (below `MIN_STATE_PX`) instead
 //!   contributes to its pixel bucket's *preview stripe* — an outlined
 //!   rectangle filled with horizontal colour bands whose heights are
 //!   proportional to each category's share of that interval, exactly the

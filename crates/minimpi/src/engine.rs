@@ -7,7 +7,7 @@
 //!   the default and preserves the original runtime behavior
 //!   bit-for-bit.
 //! * [`Engine::Virtual`] — ranks are *cooperatively* scheduled by a
-//!   single discrete-event loop ([`SimCore`](crate::sim::SimCore)):
+//!   single discrete-event loop (`SimCore`):
 //!   exactly one rank executes at a time, blocking operations yield to
 //!   an event queue ordered by `(virtual time, seeded tie-break)`, and
 //!   `wtime()` reads the simulation clock. Runs are exactly

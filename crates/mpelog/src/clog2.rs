@@ -14,6 +14,13 @@
 //! Blocks keep each rank's records in program order — the merge does
 //! *not* interleave by time; that is the converter's job (and mirrors
 //! real CLOG-2, which is also block-structured per rank).
+//!
+//! One parse loop reads these bytes: [`Clog2File::from_bytes`] and
+//! [`Clog2File::parse_image`] run it strictly, and
+//! [`Clog2File::salvage_image`] and [`Clog2File::salvage_bytes`] run it
+//! tolerantly, keeping the record-aligned prefix before the first torn
+//! or malformed item. The document ends with its last block: a strict
+//! parse rejects trailing bytes, a tolerant one reports them as a tear.
 
 use std::collections::{BTreeMap, HashSet};
 use std::path::Path;
@@ -229,9 +236,10 @@ fn parse_owned(bytes: &[u8]) -> (Clog2File, Progress, Result<(), WireError>) {
 /// [`Clog2File::parse_image`] and [`Clog2File::salvage_image`]. It fills
 /// `image` item by item (and `owned`, if given, with every block's
 /// records decoded) and advances `at` past every fully decoded item.
-/// An `Err` stops it at the first torn or malformed item, with `image`
-/// holding the record-aligned prefix decoded so far: the strict callers
-/// discard it, salvage keeps it.
+/// An `Err` stops it at the first torn or malformed item, or at bytes
+/// trailing the last block, with `image` holding the record-aligned
+/// prefix decoded so far: the strict callers discard it, salvage keeps
+/// it.
 fn parse<'a>(
     bytes: &'a [u8],
     chunk_records: usize,
@@ -312,6 +320,9 @@ fn parse<'a>(
         at.torn_rank = None;
         at.bytes = r.position();
     }
+    if r.remaining() > 0 {
+        return Err(WireError::Corrupt("trailing bytes after last block".into()));
+    }
     Ok(())
 }
 
@@ -324,7 +335,7 @@ pub struct Salvaged<T> {
     pub bytes_recovered: usize,
     /// Complete records recovered across all blocks.
     pub records_recovered: usize,
-    /// True if parsing stopped before a complete document.
+    /// True if parsing stopped before the end of the input.
     pub truncated: bool,
     /// The rank whose block the tear landed in, if it hit inside one.
     pub torn_rank: Option<u32>,
@@ -333,11 +344,11 @@ pub struct Salvaged<T> {
 /// What [`Clog2File::salvage_bytes`] recovered.
 pub type SalvagedClog = Salvaged<Clog2File>;
 
-/// Failure while streaming a CLOG2 file: either the underlying reader
+/// Failure while reading or converting a CLOG2 file: either the I/O
 /// failed or the bytes were malformed.
 #[derive(Debug)]
 pub enum StreamError {
-    /// The underlying `Read` failed.
+    /// An I/O call failed.
     Io(std::io::Error),
     /// The bytes did not decode as CLOG2.
     Wire(WireError),
@@ -363,190 +374,6 @@ impl From<std::io::Error> for StreamError {
 impl From<WireError> for StreamError {
     fn from(e: WireError) -> StreamError {
         StreamError::Wire(e)
-    }
-}
-
-/// How many bytes [`StreamDecoder`] pulls from the source per refill.
-const STREAM_CHUNK: usize = 64 * 1024;
-
-/// Incremental decoding over any `std::io::Read`.
-///
-/// Keeps only the not-yet-consumed bytes buffered: `decode` runs a
-/// slice-based decoder over the buffer and, on a `Truncated` error,
-/// refills from the source and retries. Memory stays bounded by the
-/// largest single decoded item plus one refill chunk, which is what
-/// lets the converter process arbitrarily large logs block by block.
-struct StreamDecoder<R: std::io::Read> {
-    src: R,
-    buf: Vec<u8>,
-    /// Consumed prefix of `buf` (compacted on refill).
-    pos: usize,
-    eof: bool,
-}
-
-impl<R: std::io::Read> StreamDecoder<R> {
-    fn new(src: R) -> StreamDecoder<R> {
-        StreamDecoder {
-            src,
-            buf: Vec::new(),
-            pos: 0,
-            eof: false,
-        }
-    }
-
-    fn refill(&mut self) -> Result<(), StreamError> {
-        // Drop the consumed prefix before growing the buffer.
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        let old_len = self.buf.len();
-        self.buf.resize(old_len + STREAM_CHUNK, 0);
-        let mut filled = old_len;
-        // Read until at least one byte arrives (or EOF): io::Read may
-        // legally return short counts.
-        while filled == old_len {
-            match self.src.read(&mut self.buf[filled..]) {
-                Ok(0) => {
-                    self.eof = true;
-                    break;
-                }
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.buf.truncate(old_len);
-                    return Err(e.into());
-                }
-            }
-        }
-        self.buf.truncate(filled);
-        Ok(())
-    }
-
-    /// Decode one item using a slice decoder, refilling and retrying on
-    /// truncation until the source is exhausted.
-    fn decode<T>(
-        &mut self,
-        mut f: impl FnMut(&mut Reader<'_>) -> Result<T, WireError>,
-    ) -> Result<T, StreamError> {
-        loop {
-            let mut r = Reader::new(&self.buf[self.pos..]);
-            match f(&mut r) {
-                Ok(v) => {
-                    self.pos += r.position();
-                    return Ok(v);
-                }
-                Err(WireError::Truncated { .. }) if !self.eof => self.refill()?,
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    /// True once the source hit EOF and every buffered byte is consumed.
-    fn exhausted(&mut self) -> Result<bool, StreamError> {
-        if self.pos < self.buf.len() {
-            return Ok(false);
-        }
-        if !self.eof {
-            self.refill()?;
-        }
-        Ok(self.pos >= self.buf.len())
-    }
-}
-
-/// Streaming CLOG2 reader: parses the header eagerly, then yields one
-/// `(rank, records)` block at a time, holding at most one block in
-/// memory. Duplicate rank blocks are rejected exactly as
-/// [`Clog2File::from_bytes`] rejects them.
-pub struct Clog2Blocks<R: std::io::Read> {
-    stream: StreamDecoder<R>,
-    /// World size recorded in the header.
-    pub nranks: u32,
-    /// State definitions from the header.
-    pub state_defs: Vec<StateDef>,
-    /// Solo-event definitions from the header.
-    pub event_defs: Vec<EventDef>,
-    blocks_left: u32,
-    seen_ranks: std::collections::BTreeSet<u32>,
-}
-
-impl<R: std::io::Read> Clog2Blocks<R> {
-    /// Open a stream and parse the CLOG2 header (magic, counts, defs).
-    pub fn open(src: R) -> Result<Clog2Blocks<R>, StreamError> {
-        let mut stream = StreamDecoder::new(src);
-        stream.decode(|r| {
-            let magic = r.get_bytes(8)?;
-            if magic != MAGIC {
-                return Err(WireError::BadMagic(format!("{magic:02x?}")));
-            }
-            Ok(())
-        })?;
-        let nranks = stream.decode(|r| r.get_u32())?;
-        let nstates = stream.decode(|r| r.get_u32())? as usize;
-        let mut state_defs = Vec::with_capacity(nstates.min(1024));
-        for _ in 0..nstates {
-            state_defs.push(stream.decode(StateDef::decode)?);
-        }
-        let nevents = stream.decode(|r| r.get_u32())? as usize;
-        let mut event_defs = Vec::with_capacity(nevents.min(1024));
-        for _ in 0..nevents {
-            event_defs.push(stream.decode(EventDef::decode)?);
-        }
-        let blocks_left = stream.decode(|r| r.get_u32())?;
-        Ok(Clog2Blocks {
-            stream,
-            nranks,
-            state_defs,
-            event_defs,
-            blocks_left,
-            seen_ranks: std::collections::BTreeSet::new(),
-        })
-    }
-
-    /// Number of blocks not yet yielded.
-    pub fn blocks_remaining(&self) -> u32 {
-        self.blocks_left
-    }
-
-    fn read_block(&mut self) -> Result<(u32, Vec<Record>), StreamError> {
-        let rank = self.stream.decode(|r| r.get_u32())?;
-        if !self.seen_ranks.insert(rank) {
-            return Err(WireError::Corrupt(format!("duplicate block for rank {rank}")).into());
-        }
-        let nrec = self.stream.decode(|r| r.get_u32())? as usize;
-        let mut records = Vec::with_capacity(nrec.min(1 << 20));
-        for _ in 0..nrec {
-            records.push(self.stream.decode(Record::decode)?);
-        }
-        Ok((rank, records))
-    }
-
-    /// After the final block: check no bytes trail the document.
-    pub fn finish(mut self) -> Result<(), StreamError> {
-        if self.blocks_left > 0 {
-            return Err(WireError::Truncated { wanted: 1, have: 0 }.into());
-        }
-        if !self.stream.exhausted()? {
-            return Err(WireError::Corrupt("trailing bytes after last block".into()).into());
-        }
-        Ok(())
-    }
-}
-
-impl<R: std::io::Read> Iterator for Clog2Blocks<R> {
-    type Item = Result<(u32, Vec<Record>), StreamError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.blocks_left == 0 {
-            return None;
-        }
-        self.blocks_left -= 1;
-        let block = self.read_block();
-        if block.is_err() {
-            // Poison the iterator: a decode error is not recoverable.
-            self.blocks_left = 0;
-        }
-        Some(block)
     }
 }
 
@@ -785,6 +612,55 @@ mod tests {
     }
 
     #[test]
+    fn trailing_bytes_after_last_block_are_a_tear() {
+        let f = sample_file();
+        let whole = f.to_bytes();
+        let bytes = [&whole[..], b"junk"].concat();
+        assert!(matches!(
+            Clog2File::from_bytes(&bytes),
+            Err(WireError::Corrupt(_))
+        ));
+        assert!(matches!(
+            Clog2File::parse_image(&bytes, 64),
+            Err(WireError::Corrupt(_))
+        ));
+        // Salvage keeps every block and stops at the end of the last.
+        let s = Clog2File::salvage_bytes(&bytes);
+        assert!(s.truncated);
+        assert_eq!(s.torn_rank, None);
+        assert_eq!(s.file, f);
+        assert_eq!(s.records_recovered, f.total_records());
+        assert_eq!(s.bytes_recovered, whole.len());
+    }
+
+    #[test]
+    fn duplicate_rank_block_is_rejected() {
+        let mut f = sample_file();
+        f.blocks = BTreeMap::from([(0u32, vec![])]);
+        let mut bytes = f.to_bytes();
+        let one_block = bytes.len();
+        // nblocks is the u32 before the only block's rank and nrec: bump
+        // it to 2 and append a second rank-0 block (rank=0, nrec=0).
+        let nblocks_at = bytes.len() - 12;
+        bytes[nblocks_at..nblocks_at + 4].copy_from_slice(&2u32.to_le_bytes());
+        bytes.extend_from_slice(&[0; 8]);
+        for strict in [
+            Clog2File::from_bytes(&bytes).map(drop),
+            Clog2File::parse_image(&bytes, 64).map(drop),
+        ] {
+            assert!(
+                matches!(&strict, Err(WireError::Corrupt(m)) if m.contains("duplicate block")),
+                "{strict:?}"
+            );
+        }
+        let s = Clog2File::salvage_bytes(&bytes);
+        assert!(s.truncated);
+        assert_eq!(s.torn_rank, None);
+        assert_eq!(s.file, f);
+        assert_eq!(s.bytes_recovered, one_block);
+    }
+
+    #[test]
     fn many_blocks_parse_in_linear_time() {
         // 10^5 empty blocks with distinct ranks: the duplicate check
         // must not rescan the blocks already parsed.
@@ -892,95 +768,6 @@ mod tests {
             0
         });
         assert!(out.all_ok());
-    }
-
-    /// A reader that dribbles out at most `chunk` bytes per `read`
-    /// call, to exercise the refill-and-retry path.
-    struct Dribble {
-        data: Vec<u8>,
-        pos: usize,
-        chunk: usize,
-    }
-
-    impl std::io::Read for Dribble {
-        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-            let n = self.chunk.min(out.len()).min(self.data.len() - self.pos);
-            out[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
-            self.pos += n;
-            Ok(n)
-        }
-    }
-
-    #[test]
-    fn streaming_blocks_match_from_bytes() {
-        let f = sample_file();
-        let bytes = f.to_bytes();
-        let mut blocks = Clog2Blocks::open(&bytes[..]).unwrap();
-        assert_eq!(blocks.nranks, f.nranks);
-        assert_eq!(blocks.state_defs, f.state_defs);
-        assert_eq!(blocks.event_defs, f.event_defs);
-        let mut streamed = BTreeMap::new();
-        for item in &mut blocks {
-            let (rank, records) = item.unwrap();
-            streamed.insert(rank, records);
-        }
-        assert_eq!(streamed, f.blocks);
-        blocks.finish().unwrap();
-    }
-
-    #[test]
-    fn streaming_survives_tiny_reads() {
-        let f = sample_file();
-        let src = Dribble {
-            data: f.to_bytes(),
-            pos: 0,
-            chunk: 3,
-        };
-        let mut blocks = Clog2Blocks::open(src).unwrap();
-        let collected: BTreeMap<u32, Vec<Record>> = (&mut blocks).map(|b| b.unwrap()).collect();
-        assert_eq!(collected, f.blocks);
-        blocks.finish().unwrap();
-    }
-
-    #[test]
-    fn streaming_rejects_duplicate_rank() {
-        let mut f = sample_file();
-        // Hand-craft a duplicate: encode, then duplicate the block count
-        // by re-serializing with the same rank twice.
-        f.blocks = BTreeMap::from([(0u32, vec![])]);
-        let mut bytes = f.to_bytes();
-        // nblocks is the u32 right before the block data; bump it to 2
-        // and append a second rank-0 block (rank=0, nrec=0).
-        let nblocks_at = bytes.len() - 12; // nblocks, then rank + nrec of the only block
-        bytes[nblocks_at..nblocks_at + 4].copy_from_slice(&2u32.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        let blocks = Clog2Blocks::open(&bytes[..]).unwrap();
-        let results: Vec<_> = blocks.collect();
-        assert!(results.iter().any(|r| r.is_err()), "{results:?}");
-    }
-
-    #[test]
-    fn streaming_detects_truncation() {
-        let bytes = sample_file().to_bytes();
-        let cut = &bytes[..bytes.len() - 3];
-        // Header-level truncation errors at open; otherwise an Err
-        // must surface while iterating.
-        if let Ok(blocks) = Clog2Blocks::open(cut) {
-            let results: Vec<_> = blocks.collect();
-            assert!(results.iter().any(|r| r.is_err()));
-        }
-    }
-
-    #[test]
-    fn streaming_detects_trailing_garbage() {
-        let mut bytes = sample_file().to_bytes();
-        bytes.extend_from_slice(b"junk");
-        let mut blocks = Clog2Blocks::open(&bytes[..]).unwrap();
-        for item in &mut blocks {
-            item.unwrap();
-        }
-        assert!(blocks.finish().is_err());
     }
 
     // keep Src/Tag imported for future tests without warnings

@@ -33,8 +33,7 @@ pub mod sync;
 pub mod wire;
 
 pub use clog2::{
-    finish_log, Clog2Blocks, Clog2File, Clog2Image, ImageBlock, ImageChunk, Salvaged, SalvagedClog,
-    StreamError,
+    finish_log, Clog2File, Clog2Image, ImageBlock, ImageChunk, Salvaged, SalvagedClog, StreamError,
 };
 pub use color::Color;
 pub use ids::{EventId, IdAllocator};

@@ -140,26 +140,7 @@ impl Record {
 
     /// Deserialize one record.
     pub fn decode(r: &mut Reader<'_>) -> Result<Record, WireError> {
-        match r.get_u8()? {
-            KIND_EVENT => Ok(Record::Event {
-                ts: r.get_f64()?,
-                id: EventId(r.get_u32()?),
-                text: r.get_str()?,
-            }),
-            KIND_SEND => Ok(Record::Send {
-                ts: r.get_f64()?,
-                dst: r.get_u32()?,
-                tag: r.get_u32()?,
-                size: r.get_u32()?,
-            }),
-            KIND_RECV => Ok(Record::Recv {
-                ts: r.get_f64()?,
-                src: r.get_u32()?,
-                tag: r.get_u32()?,
-                size: r.get_u32()?,
-            }),
-            k => Err(WireError::Corrupt(format!("unknown record kind {k}"))),
-        }
+        Record::decode_view(r).map(Record::from)
     }
 }
 
@@ -275,20 +256,6 @@ impl Record {
                 tag: r.get_u32()?,
                 size: r.get_u32()?,
             }),
-            k => Err(WireError::Corrupt(format!("unknown record kind {k}"))),
-        }
-    }
-
-    /// Advance `r` past one encoded record without materializing it —
-    /// the boundary pre-pass that lets byte-image scans split a block
-    /// into record-aligned chunks.
-    pub fn skip(r: &mut Reader<'_>) -> Result<(), WireError> {
-        match r.get_u8()? {
-            KIND_EVENT => {
-                r.skip(12)?; // ts + id
-                r.skip_str()
-            }
-            KIND_SEND | KIND_RECV => r.skip(20), // ts + 3×u32
             k => Err(WireError::Corrupt(format!("unknown record kind {k}"))),
         }
     }
@@ -423,48 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn skip_and_decode_view_agree_with_decode() {
-        let recs = [
-            Record::Event {
-                ts: 1.5,
-                id: EventId(3),
-                text: "Line: 42".into(),
-            },
-            Record::Send {
-                ts: 2.0,
-                dst: 7,
-                tag: 1000,
-                size: 4096,
-            },
-            Record::Recv {
-                ts: 2.5,
-                src: 7,
-                tag: 1000,
-                size: 4096,
-            },
-        ];
-        let mut w = Writer::new();
-        for rec in &recs {
-            rec.encode(&mut w);
-        }
-        let bytes = w.into_bytes();
-        // skip lands on the same boundaries decode does
-        let mut skipper = Reader::new(&bytes);
-        let mut decoder = Reader::new(&bytes);
-        for rec in &recs {
-            Record::skip(&mut skipper).unwrap();
-            assert_eq!(&Record::decode(&mut decoder).unwrap(), rec);
-            assert_eq!(skipper.position(), decoder.position());
-        }
-        assert_eq!(skipper.remaining(), 0);
-        // decode_view sees the same fields, borrowing the text
-        let mut viewer = Reader::new(&bytes);
-        for rec in &recs {
-            assert_eq!(Record::decode_view(&mut viewer).unwrap(), rec.into());
-        }
-    }
-
-    #[test]
     fn decode_view_rejects_bad_utf8() {
         let mut w = Writer::new();
         w.put_u8(1); // KIND_EVENT
@@ -477,8 +402,6 @@ mod tests {
             Record::decode_view(&mut Reader::new(&bytes)),
             Err(WireError::BadUtf8)
         );
-        // ...but skip doesn't care about text contents.
-        assert!(Record::skip(&mut Reader::new(&bytes)).is_ok());
     }
 
     #[test]

@@ -197,16 +197,7 @@ impl<'a> Reader<'a> {
 
     /// Read a length-prefixed string.
     pub fn get_str(&mut self) -> Result<String, WireError> {
-        let len = self.get_u32()? as usize;
-        // Sanity bound so corrupt lengths error instead of OOMing.
-        if len > self.remaining() {
-            return Err(WireError::Truncated {
-                wanted: len,
-                have: self.remaining(),
-            });
-        }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
+        self.get_str_slice().map(str::to_owned)
     }
 
     /// Read a length-prefixed string without copying: the returned
@@ -215,40 +206,9 @@ impl<'a> Reader<'a> {
     /// `mmap`ed file.
     pub fn get_str_slice(&mut self) -> Result<&'a str, WireError> {
         let len = self.get_u32()? as usize;
-        if len > self.remaining() {
-            return Err(WireError::Truncated {
-                wanted: len,
-                have: self.remaining(),
-            });
-        }
+        // `take` bounds a corrupt length by the bytes left.
         let bytes = self.take(len)?;
         std::str::from_utf8(bytes).map_err(|_| WireError::BadUtf8)
-    }
-
-    /// Advance past a length-prefixed string without validating UTF-8
-    /// (used to find record boundaries cheaply).
-    pub fn skip_str(&mut self) -> Result<(), WireError> {
-        let len = self.get_u32()? as usize;
-        if len > self.remaining() {
-            return Err(WireError::Truncated {
-                wanted: len,
-                have: self.remaining(),
-            });
-        }
-        self.pos += len;
-        Ok(())
-    }
-
-    /// Advance past `n` raw bytes.
-    pub fn skip(&mut self, n: usize) -> Result<(), WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated {
-                wanted: n,
-                have: self.remaining(),
-            });
-        }
-        self.pos += n;
-        Ok(())
     }
 }
 

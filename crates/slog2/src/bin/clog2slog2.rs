@@ -5,23 +5,23 @@
 //!
 //! ```text
 //! clog2slog2 <input.pclog2> [-o out.pslog2] [--frame-size N] [--max-depth D]
-//!            [--parallel N] [--stream | --mmap] [--budget-mb N]
+//!            [--parallel N] [--mmap] [--budget-mb N]
 //!            [--salvage] [--metrics] [-q]
 //! ```
 //!
 //! The binary is a thin shell over [`slog2::Converter`]: each flag maps
 //! to one builder knob, and every combination produces byte-identical
 //! output for the same input log. `--parallel N` shards the conversion
-//! over N worker threads (0 = one per core, 1 = serial). `--stream`
-//! decodes the CLOG2 input incrementally instead of loading it whole;
-//! `--mmap` memory-maps it and scans records zero-copy. `--budget-mb N`
-//! converts *out-of-core*: drawables spill to temporary files and the
-//! output is written under a ~N MiB drawable working set, which is how
-//! a log bigger than RAM gets converted at all. `--metrics` attaches
-//! the `obs` registry and prints the merged `convert.*` counters
+//! over N worker threads (0 = one per core, 1 = serial). Without
+//! `--mmap` the input is read whole; with it the file is memory-mapped
+//! and records are scanned zero-copy. `--budget-mb N` converts
+//! *out-of-core*: drawables spill to temporary files and the output is
+//! written under a ~N MiB drawable working set, which is how a log
+//! bigger than RAM gets converted at all. `--metrics` attaches the
+//! `obs` registry and prints the merged `convert.*` counters
 //! (Prometheus-style text) after the conversion. `--salvage` accepts a
-//! *torn* CLOG2 file (e.g. from an aborted run) from any input mode —
-//! whole-file, `--mmap` or `--stream`: the tolerant reader recovers the
+//! *torn* CLOG2 file (e.g. from an aborted run) from either input
+//! mode, whole-file or `--mmap`: the tolerant parse recovers the
 //! record-aligned prefix, the rank whose block was cut mid-frame gets
 //! an `ABORTED` terminal state, and the recovery counts are embedded in
 //! the output's warning list. The salvaged file always validates.
@@ -40,7 +40,6 @@ struct Args {
     frame_size: usize,
     max_depth: u32,
     parallel: usize,
-    stream: bool,
     mmap: bool,
     budget_mb: Option<usize>,
     metrics: bool,
@@ -48,7 +47,7 @@ struct Args {
     quiet: bool,
 }
 
-const USAGE: &str = "usage: clog2slog2 <input.pclog2> [-o out.pslog2] [--frame-size N] [--max-depth D] [--parallel N] [--stream | --mmap] [--budget-mb N] [--salvage] [--metrics] [-q]";
+const USAGE: &str = "usage: clog2slog2 <input.pclog2> [-o out.pslog2] [--frame-size N] [--max-depth D] [--parallel N] [--mmap] [--budget-mb N] [--salvage] [--metrics] [-q]";
 
 fn parse_args() -> Result<Args, String> {
     let mut input = None;
@@ -56,7 +55,6 @@ fn parse_args() -> Result<Args, String> {
     let mut frame_size = 64usize;
     let mut max_depth = 16u32;
     let mut parallel = 0usize;
-    let mut stream = false;
     let mut mmap = false;
     let mut budget_mb = None;
     let mut metrics = false;
@@ -97,7 +95,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|_| "bad --budget-mb value")?,
                 )
             }
-            "--stream" => stream = true,
             "--mmap" => mmap = true,
             "--metrics" => metrics = true,
             "--salvage" => salvage = true,
@@ -109,9 +106,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     let input = input.ok_or(USAGE)?;
-    if stream && mmap {
-        return Err("--stream and --mmap are exclusive input modes".into());
-    }
     let output = output.unwrap_or_else(|| input.with_extension("pslog2"));
     Ok(Args {
         input,
@@ -119,7 +113,6 @@ fn parse_args() -> Result<Args, String> {
         frame_size,
         max_depth,
         parallel,
-        stream,
         mmap,
         budget_mb,
         metrics,
@@ -154,15 +147,7 @@ fn main() -> ExitCode {
 
     // Pick the trace source; the whole-file bytes outlive the borrow.
     let whole;
-    let source = if args.stream {
-        match std::fs::File::open(&args.input) {
-            Ok(f) => TraceSource::reader(std::io::BufReader::new(f)),
-            Err(e) => {
-                eprintln!("clog2slog2: cannot read {}: {e}", args.input.display());
-                return ExitCode::from(2);
-            }
-        }
-    } else if args.mmap {
+    let source = if args.mmap {
         match TraceSource::mmap(&args.input) {
             Ok(s) => s,
             Err(e) => {
@@ -180,11 +165,7 @@ fn main() -> ExitCode {
         };
         TraceSource::Bytes(&whole)
     };
-    let provenance = if args.stream {
-        "streamed".to_string()
-    } else {
-        format!("{source:?}")
-    };
+    let provenance = format!("{source:?}");
 
     // Out-of-core: the converter writes the file itself under the
     // memory budget; no Slog2File is ever resident.

@@ -11,8 +11,8 @@
 //! ## The `Converter` API
 //!
 //! All conversion goes through one builder, [`Converter`], driving a
-//! [`TraceSource`] — an already-decoded log, a raw byte image, a
-//! memory-mapped file, or a streaming reader:
+//! [`TraceSource`] — an already-decoded log, a raw byte image, or a
+//! memory-mapped file:
 //!
 //! ```no_run
 //! # use slog2::{Converter, TraceSource};
@@ -41,11 +41,9 @@
 //! 1. **Scan** — one front end opens any source under either torn-input
 //!    policy; blocks are split into fixed-size record chunks that
 //!    workers *steal* from a shared queue (so parallelism is not capped
-//!    by the rank count), then stitched back per rank
-//!    ([`crate::scan`]).
+//!    by the rank count), then stitched back per rank (`scan`).
 //! 2. **Merge** — shard outputs concatenate in rank order into columnar
-//!    storage ([`crate::columnar`]); per-rank send/recv lists are
-//!    key-disjoint.
+//!    storage (`columnar`); per-rank send/recv lists are key-disjoint.
 //! 3. **Arrows** — per-shard key-sorted send/recv runs merge (sends by
 //!    concatenation, recvs by k-way merge) and match in key order,
 //!    sharded by contiguous key chunks.
@@ -303,7 +301,7 @@ impl std::fmt::Display for FailureKind {
 }
 
 /// One failed rank's post-mortem, as established by the supervisor
-/// ([`minimpi`]'s `RankFailure`) or the deadlock detector.
+/// (`minimpi`'s `RankFailure`) or the deadlock detector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankVerdict {
     /// The failed rank.
@@ -359,9 +357,9 @@ pub enum TornPolicy {
     /// warnings. An empty report converts byte-identically to strict
     /// mode on a whole log.
     ///
-    /// A byte source (`Bytes`, `Mmap`, `Reader`) is scanned tolerantly,
-    /// and the converter fills in the report's tear facts itself:
-    /// records and bytes recovered, whether the log was torn, and an
+    /// A byte source (`Bytes`, `Mmap`) is scanned tolerantly, and the
+    /// converter fills in the report's tear facts itself: records and
+    /// bytes recovered, whether the log was torn, and an
     /// [`FailureKind::Aborted`] verdict for a rank torn mid-block (unless
     /// the report already judges that rank). An `InMemory` log keeps the
     /// caller's facts.
@@ -1291,24 +1289,42 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn streaming_convert_matches_whole_file() {
-        let clog = messy_clog(4);
-        let bytes = clog.to_bytes();
-        for threads in [1usize, 4] {
-            let conv = Converter::new().parallelism(threads);
-            let (whole, whole_warn) = with(conv.clone(), &clog);
-            let streamed = conv.convert(TraceSource::reader(&bytes[..])).unwrap();
-            assert_eq!(streamed.warnings, whole_warn);
-            assert_eq!(streamed.file.to_bytes(), whole.to_bytes());
-        }
-    }
-
-    #[test]
-    fn streaming_convert_propagates_truncation() {
+    fn strict_byte_sources_refuse_torn_and_trailing_images() {
         let clog = messy_clog(2);
-        let bytes = clog.to_bytes();
-        let src = TraceSource::reader(&bytes[..bytes.len() - 6]);
-        assert!(Converter::new().convert(src).is_err());
+        let whole = clog.to_bytes();
+        let trailing = [&whole[..], b"junk"].concat();
+        let dir = std::env::temp_dir().join(format!("slog2-strict-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (clog_path, out) = (dir.join("bad.pclog2"), dir.join("bad.pslog2"));
+        let sources = |bytes| {
+            [
+                ("Bytes", TraceSource::Bytes(bytes)),
+                ("Mmap", TraceSource::mmap(&clog_path).unwrap()),
+            ]
+        };
+        let oocore = Converter::new().memory_budget(1).spill_dir(dir.clone());
+        for (what, bad) in [("torn", &whole[..whole.len() - 6]), ("trailing", &trailing)] {
+            std::fs::write(&clog_path, bad).unwrap();
+            for (name, src) in sources(bad) {
+                assert!(Converter::new().convert(src).is_err(), "{name}, {what}");
+            }
+            for (name, src) in sources(bad) {
+                let r = oocore.convert_to_path(src, &out);
+                assert!(r.is_err(), "{name} oocore, {what}");
+            }
+        }
+        // Salvage keeps every block and reports the trailing bytes as a
+        // tear.
+        let salvage = Converter::new().on_torn(TornPolicy::Salvage(SalvageReport::default()));
+        for (name, src) in sources(&trailing) {
+            let c = salvage.convert(src).unwrap();
+            let want = ConvertWarning::SalvagedLog {
+                bytes_recovered: whole.len(),
+                records_recovered: clog.total_records(),
+            };
+            assert!(c.warnings.contains(&want), "{name}: {:?}", c.warnings);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

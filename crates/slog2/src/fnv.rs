@@ -1,20 +1,24 @@
-//! FNV-1a hashing for the converter's hot paths.
+//! FNV-1a: the workspace's one byte digest, and the converter's hash.
 //!
-//! The out-of-core shape pass counts rows per tree-node path id in a
-//! hash map; the standard library's SipHash is keyed and DoS-resistant
+//! Run over a file's bytes it is the digest that names a trace: the
+//! out-of-core writer reports it for cross-run identity checks, the
+//! timeline service keys its tile cache by it, and the diff engine
+//! labels both sides of a comparison with it.
+//!
+//! The out-of-core shape pass also counts rows per tree-node path id in
+//! a hash map; the standard library's SipHash is keyed and DoS-resistant
 //! but several times slower on small fixed-width keys than FNV-1a. The
-//! keys here are trace-internal (path ids), not attacker-controlled
+//! keys there are trace-internal (path ids), not attacker-controlled
 //! strings, so the non-cryptographic hash is appropriate.
-//! The same function, run over a byte stream, doubles as the digest the
-//! out-of-core writer reports for cross-run identity checks.
 
 use std::hash::{BuildHasher, Hasher};
 
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// One-shot FNV-1a over a byte slice, chainable via `seed`.
-pub(crate) fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
+/// One-shot FNV-1a over a byte slice, chainable via `seed`: start
+/// from [`FNV_SEED`] and pass each result on as the next seed.
+pub fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = seed;
     for &b in bytes {
         h ^= b as u64;
@@ -23,8 +27,8 @@ pub(crate) fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// The canonical FNV-1a seed, exposed for streaming digests.
-pub(crate) const FNV_SEED: u64 = OFFSET;
+/// The canonical FNV-1a seed (the 64-bit offset basis).
+pub const FNV_SEED: u64 = OFFSET;
 
 /// `std::hash::Hasher` wrapper so `HashMap` can use FNV-1a.
 pub(crate) struct FnvHasher(u64);

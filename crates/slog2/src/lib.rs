@@ -32,7 +32,7 @@ pub mod convert;
 pub mod drawable;
 pub mod error;
 pub mod file;
-pub(crate) mod fnv;
+pub mod fnv;
 pub mod id;
 pub mod oocore;
 pub(crate) mod scan;

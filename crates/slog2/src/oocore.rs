@@ -1122,11 +1122,6 @@ mod tests {
         conv.convert_to_path(TraceSource::mmap(&clog_path).unwrap(), &d2)
             .unwrap();
         assert_eq!(std::fs::read(&d2).unwrap(), want, "Mmap");
-
-        let d3 = dir.join("src-reader.pslog2");
-        conv.convert_to_path(TraceSource::reader(&bytes[..]), &d3)
-            .unwrap();
-        assert_eq!(std::fs::read(&d3).unwrap(), want, "Reader");
     }
 
     #[test]

@@ -5,18 +5,18 @@
 //! * [`TraceSource::Bytes`] — a CLOG2 byte image; records are scanned
 //!   in place (borrowed text, no per-record allocation).
 //! * [`TraceSource::Mmap`] — a memory-mapped file, same zero-copy scan
-//!   as `Bytes` without reading the file into the heap first.
-//! * [`TraceSource::Reader`] — a byte stream decoded one block at a
-//!   time (bounded memory for the scan phase).
+//!   as `Bytes` without reading the file into the heap first; the
+//!   source for logs bigger than RAM.
 //!
-//! Under [`TornPolicy::Salvage`] every byte source takes the tolerant
-//! image parse (a `Reader` is read whole first): the record-aligned
-//! prefix is scanned in place and the tear facts land in the report.
+//! Both byte sources go through `mpelog`'s one CLOG2 parse loop:
+//! strictly by default, and under [`TornPolicy::Salvage`] tolerantly,
+//! so the record-aligned prefix is scanned in place and the tear facts
+//! land in the report.
 
-use std::io::{self, Read};
+use std::io;
 use std::path::Path;
 
-use mpelog::clog2::{Clog2Blocks, StreamError};
+use mpelog::clog2::StreamError;
 use mpelog::Clog2File;
 
 use crate::convert::{
@@ -33,21 +33,14 @@ pub enum TraceSource<'a> {
     InMemory(&'a Clog2File),
     /// A raw CLOG2 byte image, scanned zero-copy.
     Bytes(&'a [u8]),
-    /// A streaming byte source, decoded block by block.
-    Reader(Box<dyn Read + 'a>),
     /// A memory-mapped CLOG2 file, scanned zero-copy.
     Mmap(Mmap),
 }
 
-impl<'a> TraceSource<'a> {
+impl TraceSource<'_> {
     /// Memory-map `path` as a trace source.
     pub fn mmap(path: &Path) -> std::io::Result<TraceSource<'static>> {
         Ok(TraceSource::Mmap(Mmap::open(path)?))
-    }
-
-    /// Wrap any reader as a streaming source.
-    pub fn reader(r: impl Read + 'a) -> TraceSource<'a> {
-        TraceSource::Reader(Box::new(r))
     }
 }
 
@@ -56,7 +49,6 @@ impl std::fmt::Debug for TraceSource<'_> {
         match self {
             TraceSource::InMemory(c) => write!(f, "TraceSource::InMemory({} ranks)", c.nranks),
             TraceSource::Bytes(b) => write!(f, "TraceSource::Bytes({} bytes)", b.len()),
-            TraceSource::Reader(_) => write!(f, "TraceSource::Reader(..)"),
             TraceSource::Mmap(m) => write!(f, "TraceSource::Mmap({} bytes)", m.len()),
         }
     }
@@ -82,8 +74,8 @@ impl Converter {
     /// The front end: open `src` under the torn-input policy and scan it
     /// into per-rank shards. Given a `spill` (the out-of-core writer
     /// moves rows to disk there), ranks are scanned one at a time so
-    /// one rank's drawables are resident; otherwise every block of a
-    /// source held whole is scanned in one work-stealing pass.
+    /// one rank's drawables are resident; otherwise every block is
+    /// scanned in one work-stealing pass.
     pub(crate) fn scan(
         &self,
         src: TraceSource<'_>,
@@ -106,25 +98,6 @@ impl Converter {
                     .collect();
                 self.scan_blocks(&blocks, &table, workers, &mut spill, &mut shards)?;
                 (table, clog.nranks)
-            }
-            TraceSource::Reader(r) if salvage.is_none() => {
-                let mut stream = Clog2Blocks::open(r)?;
-                let table = build_categories(&stream.state_defs, &stream.event_defs);
-                let nranks = stream.nranks;
-                for block in &mut stream {
-                    let (rank, records) = block?;
-                    let input = [BlockInput::Records(rank, &records)];
-                    self.scan_blocks(&input, &table, workers, &mut spill, &mut shards)?;
-                }
-                stream.finish()?;
-                // Blocks stream in file order; shards go in rank order.
-                shards.sort_by_key(|s| s.rank);
-                (table, nranks)
-            }
-            TraceSource::Reader(mut r) => {
-                let mut bytes = Vec::new();
-                r.read_to_end(&mut bytes)?;
-                self.scan_image(&bytes, workers, &mut salvage, &mut spill, &mut shards)?
             }
             TraceSource::Bytes(bytes) => {
                 self.scan_image(bytes, workers, &mut salvage, &mut spill, &mut shards)?

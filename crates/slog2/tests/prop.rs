@@ -450,8 +450,6 @@ proptest! {
             prop_assert_eq!(m.file.to_bytes(), want.clone(), "InMemory, {} threads", threads);
             let b = conv.convert(TraceSource::Bytes(&clog_bytes)).unwrap();
             prop_assert_eq!(b.file.to_bytes(), want.clone(), "Bytes, {} threads", threads);
-            let r = conv.convert(TraceSource::reader(&clog_bytes[..])).unwrap();
-            prop_assert_eq!(r.file.to_bytes(), want.clone(), "Reader, {} threads", threads);
             let mm = conv
                 .convert(TraceSource::mmap(&clog_path).unwrap())
                 .unwrap();
@@ -509,14 +507,17 @@ proptest! {
         let want = baseline.file.to_bytes();
         let dir = prop_dir();
         let case = case_id();
+        let torn_path = dir.join(format!("salvage-{case}.pclog2"));
+        std::fs::write(&torn_path, torn).unwrap();
 
         for threads in [2usize, 8] {
             let conv = Converter::new().parallelism(threads).on_torn(policy.clone());
             let b = conv.convert(TraceSource::Bytes(torn)).unwrap();
             prop_assert_eq!(&b.warnings, &baseline.warnings, "salvage warnings, {} threads", threads);
             prop_assert_eq!(b.file.to_bytes(), want.clone(), "salvage Bytes, {} threads", threads);
-            let r = conv.convert(TraceSource::reader(torn)).unwrap();
-            prop_assert_eq!(r.file.to_bytes(), want.clone(), "salvage Reader, {} threads", threads);
+            let mm = conv.convert(TraceSource::mmap(&torn_path).unwrap()).unwrap();
+            prop_assert_eq!(&mm.warnings, &baseline.warnings, "salvage Mmap warnings, {} threads", threads);
+            prop_assert_eq!(mm.file.to_bytes(), want.clone(), "salvage Mmap, {} threads", threads);
             let out = dir.join(format!("salvage-{case}-t{threads}.pslog2"));
             let oc = Converter::new()
                 .parallelism(threads)
@@ -530,6 +531,7 @@ proptest! {
             let _ = std::fs::remove_file(&out);
             prop_assert_eq!(got, want.clone(), "salvage oocore, {} threads", threads);
         }
+        let _ = std::fs::remove_file(&torn_path);
     }
 }
 

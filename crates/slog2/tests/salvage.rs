@@ -2,8 +2,8 @@
 //! decode the torn prefix with `Clog2File::salvage_bytes`, build a
 //! report from its tear facts plus an `ABORTED` verdict for the rank
 //! torn mid-block, and convert the decoded log in memory. Converting
-//! the torn bytes directly — as `Bytes`, `Mmap` or `Reader`, in memory
-//! or out of core — must give the same file bytes and warnings.
+//! the torn bytes directly — as `Bytes` or `Mmap`, in memory or out of
+//! core — must give the same file bytes and warnings.
 
 use mpelog::{Clog2File, Color, Logger};
 use slog2::{
@@ -101,7 +101,6 @@ fn byte_sources_salvage_like_the_hand_built_route() {
             [
                 ("Bytes", TraceSource::Bytes(torn)),
                 ("Mmap", TraceSource::mmap(&clog_path).unwrap()),
-                ("Reader", TraceSource::reader(torn)),
             ]
         };
         for (name, src) in sources() {

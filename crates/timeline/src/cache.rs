@@ -25,6 +25,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Condvar, Mutex};
 
 use obs::{ObsHandle, Phase};
+use slog2::fnv::{fnv1a, FNV_SEED};
 
 use crate::obsplane::PhaseTimer;
 
@@ -50,18 +51,13 @@ impl TileKey {
     fn shard(&self) -> usize {
         // FNV-1a over the key fields; cheap and well-spread for the
         // small dense key space.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in self
-            .digest
-            .to_le_bytes()
-            .into_iter()
-            .chain(self.rank.to_le_bytes())
-            .chain([self.zoom])
-            .chain(self.tile.to_le_bytes())
-        {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let fields: [&[u8]; 4] = [
+            &self.digest.to_le_bytes(),
+            &self.rank.to_le_bytes(),
+            &[self.zoom],
+            &self.tile.to_le_bytes(),
+        ];
+        let h = fields.iter().fold(FNV_SEED, |h, b| fnv1a(h, b));
         (h % CACHE_SHARDS as u64) as usize
     }
 }
@@ -491,5 +487,33 @@ mod tests {
         assert_eq!(occ.iter().sum::<usize>(), 32);
         let high = cache.shard_occupancy_high();
         assert_eq!(high, *occ.iter().max().unwrap() as i64);
+    }
+
+    #[test]
+    fn key_shards_are_pinned() {
+        // The shard of every key in a small grid, one hex digit each:
+        // FNV-1a of the key's LE field bytes, mod 16.
+        let mut got = String::new();
+        for digest in [0, 42, 0xdead_beef_cafe_f00d] {
+            for rank in 0..4 {
+                for zoom in 0..3 {
+                    for tile in 0..4 {
+                        let k = TileKey {
+                            digest,
+                            rank,
+                            zoom,
+                            tile,
+                        };
+                        got.push_str(&format!("{:x}", k.shard()));
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            got,
+            "fedccdef5476cdeffedc230154762301fedc23015476cdefdcfeab897654ab89\
+             dcfe456776544567dcfe45677654ab89ab89dcfe4567dcfeab89765445677654\
+             ab8976544567dcfe"
+        );
     }
 }

@@ -26,11 +26,10 @@
 //! validated strictly. Malformed bodies are a client error (400),
 //! never a 500.
 //!
-//! [`App`] bundles the registry with the request-level
-//! [`ObsPlane`](crate::obsplane::ObsPlane), the shared obs registry,
-//! the server [`Limits`], and the drain flag. The HTTP layer serves an
-//! `Arc<App>`; one-trace embedders (tests, benches) use
-//! [`App::single`].
+//! [`App`] bundles the registry with the request-level [`ObsPlane`],
+//! the shared obs registry, the server [`Limits`], and the drain flag.
+//! The HTTP layer serves an `Arc<App>`; one-trace embedders (tests,
+//! benches) use [`App::single`].
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -15,7 +15,7 @@ use analysis::TraceAnalyzer;
 use jumpshot::{renderer_by_name, PathOverlay, RenderOptions};
 use obs::{ObsHandle, Phase};
 use pilot_vis::json::Json;
-use slog2::{Drawable, Slog2Error, Slog2File, TimeWindow};
+use slog2::{fnv, Drawable, Slog2Error, Slog2File, TimeWindow};
 
 use crate::cache::{TileCache, TileKey};
 use crate::index::TimelineIndex;
@@ -27,12 +27,7 @@ pub const MAX_ZOOM: u8 = 24;
 
 /// FNV-1a 64-bit digest — the cache key's file-version component.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv::fnv1a(fnv::FNV_SEED, bytes)
 }
 
 /// One loaded SLOG2 file plus its interval index and tile cache.

@@ -9,8 +9,8 @@
 //!   workloads that fit.
 //! * [`SyntheticClogReader`] streams the *identical* byte image through
 //!   `io::Read` while holding only one batch of records at a time, so
-//!   out-of-core conversion benchmarks can run at 10⁷–10⁸ drawables
-//!   without the generator itself blowing the memory budget.
+//!   the out-of-core scale harness can write a 10⁷–10⁸-drawable input
+//!   file without the generator itself blowing the memory budget.
 
 use std::io::Read;
 use std::ops::Range;
@@ -111,12 +111,12 @@ const BATCH_CALLS: usize = 4096;
 
 /// Streams the byte image of [`synthetic_clog`]`(ranks, calls)` through
 /// `io::Read` without ever materializing the log: records are generated
-/// and encoded one [`BATCH_CALLS`]-sized batch at a time.
+/// and encoded one `BATCH_CALLS`-sized batch at a time.
 ///
 /// The bytes are pinned identical to
 /// `synthetic_clog(ranks, calls).to_bytes()` by test, so a benchmark
-/// can feed `TraceSource::reader(SyntheticClogReader::new(..))` to the
-/// converter and compare digests against any other source kind.
+/// can copy the reader into a file bigger than RAM, convert it through
+/// `TraceSource::mmap`, and compare digests against any other source.
 pub struct SyntheticClogReader {
     ranks: usize,
     calls: usize,
