@@ -25,7 +25,7 @@
 //!   (`repro bench-diff`).
 //!
 //! Everything is deterministic: same input pair, byte-identical
-//! output — the contract the `diff-smoke` CI job asserts.
+//! output — the contract CI's trace-diff oracle asserts.
 
 pub mod align;
 pub mod bench;

@@ -1,4 +1,5 @@
-//! Columnar drawable storage for the converter's hot path.
+//! Columnar drawable storage for the converter's hot path and for
+//! every frame-tree build.
 //!
 //! The scan/merge/tree phases used to shuffle `Vec<Drawable>` around —
 //! an 80-byte enum per row plus a heap `String` each, so every
@@ -135,9 +136,7 @@ impl DrawableColumns {
         self.n_arrows += 1;
     }
 
-    /// Append one row of a [`Drawable`] — the reference against which
-    /// the typed `push_*` methods are tested.
-    #[cfg(test)]
+    /// Append one row of a [`Drawable`].
     pub(crate) fn push(&mut self, d: &Drawable) {
         match d {
             Drawable::State(s) => self.push_state(
@@ -321,10 +320,12 @@ impl DrawableColumns {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn sample() -> Vec<Drawable> {
+    /// A state with text and a nest level, an event with text, and a
+    /// backward arrow.
+    pub(crate) fn sample() -> Vec<Drawable> {
         vec![
             Drawable::State(StateDrawable {
                 category: CategoryId(0),

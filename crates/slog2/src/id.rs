@@ -176,7 +176,7 @@ impl CategoryMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drawable::{Category, CategoryKind};
+    use crate::drawable::{Category, CategoryKind, Drawable};
     use crate::file::Slog2File;
     use crate::tree::FrameTree;
     use crate::window::TimeWindow;
@@ -223,7 +223,7 @@ mod tests {
             categories,
             range: TimeWindow::new(0.0, 1.0),
             warnings: vec![],
-            tree: FrameTree::build(vec![], 0.0, 1.0, 8, 4),
+            tree: FrameTree::build(Vec::<Drawable>::new(), 0.0, 1.0, 8, 4),
         };
         let map = CategoryMap::resolve(&file);
         assert_eq!(map.id(WellKnownCategory::Compute), Some(CategoryId(0)));

@@ -12,6 +12,8 @@
 //! Jumpshot draw the striped "too dense to show individually" rectangles
 //! of the paper's Fig. 1 without touching leaf data.
 
+use std::borrow::Borrow;
+
 use crate::columnar::DrawableColumns;
 use crate::drawable::Drawable;
 use crate::id::CategoryId;
@@ -118,46 +120,36 @@ pub struct FrameTree {
 }
 
 impl FrameTree {
-    /// Build a tree over `[t0, t1]` from `drawables`.
+    /// Build a tree over `[t0, t1]` from `drawables`, owned or borrowed.
     ///
     /// Every drawable must satisfy `t0 <= start && end <= t1`; the
-    /// converter guarantees this by using the log's global range.
-    pub fn build(
-        drawables: Vec<Drawable>,
+    /// converter guarantees this by using the log's global range. The
+    /// drawables are laid out as columns first, so this is the
+    /// converter's own build.
+    pub fn build<D: Borrow<Drawable>>(
+        drawables: impl IntoIterator<Item = D>,
         t0: f64,
         t1: f64,
         capacity: usize,
         max_depth: u32,
     ) -> FrameTree {
-        Self::build_with_parallelism(drawables, t0, t1, capacity, max_depth, 1)
+        let mut cols = DrawableColumns::new();
+        for d in drawables {
+            cols.push(d.borrow());
+        }
+        Self::build_columnar(&cols, t0, t1, capacity, max_depth, 1)
     }
 
-    /// Like [`build`](Self::build), forking the subtree recursion onto
-    /// up to `parallelism` scoped threads.
+    /// Build a tree from columnar drawable storage, forking the subtree
+    /// recursion onto up to `parallelism` scoped threads.
     ///
-    /// The result is bit-identical to the serial build: every node's
-    /// preview is accumulated from that node's own item list in item
-    /// order, exactly as in the serial recursion — parallelism only
-    /// changes *which thread* runs an independent subtree, never the
-    /// order of any float accumulation.
-    pub fn build_with_parallelism(
-        drawables: Vec<Drawable>,
-        t0: f64,
-        t1: f64,
-        capacity: usize,
-        max_depth: u32,
-        parallelism: usize,
-    ) -> FrameTree {
-        build_tree(&Owned, drawables, t0, t1, capacity, max_depth, parallelism)
-    }
-
-    /// Build a tree directly from columnar drawable storage.
-    ///
-    /// The recursion partitions `u32` index vectors instead of moving
-    /// 80-byte `Drawable` values, and only materializes enum rows once,
-    /// at the node that finally owns them. The resulting tree is
-    /// bit-identical to [`build_with_parallelism`](Self::build_with_parallelism)
-    /// over `cols.to_drawable(0..len)` — pinned by a unit test below.
+    /// The recursion partitions `u32` row ids instead of moving
+    /// 80-byte `Drawable` values, and only materializes a row once, at
+    /// the node that finally owns it. The result is bit-identical at
+    /// every `parallelism`: each node's preview is accumulated from that
+    /// node's own row list in row order, so threads only change *which
+    /// thread* runs an independent subtree, never the order of any float
+    /// accumulation.
     pub(crate) fn build_columnar(
         cols: &DrawableColumns,
         t0: f64,
@@ -166,8 +158,18 @@ impl FrameTree {
         max_depth: u32,
         parallelism: usize,
     ) -> FrameTree {
+        let split = Split {
+            capacity: capacity.max(1),
+            max_depth,
+        };
+        // Each fork level doubles the worker count: budget = ceil(log2 n).
+        let forks = parallelism.max(1).next_power_of_two().trailing_zeros();
         let rows = (0..cols.len() as u32).collect();
-        build_tree(cols, rows, t0, t1, capacity, max_depth, parallelism)
+        FrameTree {
+            root: build_node(cols, rows, t0, t1, 0, split, forks),
+            capacity: split.capacity,
+            max_depth,
+        }
     }
 
     /// All drawables overlapping the closed window `w` (per
@@ -176,11 +178,6 @@ impl FrameTree {
         let mut out = Vec::new();
         query_node(&self.root, w, &mut out);
         out
-    }
-
-    /// Number of drawables overlapping `w`.
-    pub fn count_in(&self, w: TimeWindow) -> usize {
-        self.query(w).len()
     }
 
     /// Exact per-category count/coverage *clipped to* the window `w`,
@@ -220,54 +217,6 @@ impl FrameTree {
     }
 }
 
-/// What the build recursion partitions: row handles, how to read a
-/// row's category and interval, and how to materialize the rows a node
-/// finally keeps.
-trait Rows: Sync {
-    /// A row as it travels down the tree.
-    type Row: Send;
-    fn category_of(&self, row: &Self::Row) -> CategoryId;
-    /// The row's `(start, end)`, arrows normalized.
-    fn interval(&self, row: &Self::Row) -> (f64, f64);
-    fn drawables(&self, rows: Vec<Self::Row>) -> Vec<Drawable>;
-}
-
-/// Owned drawables, moved down the tree.
-struct Owned;
-
-impl Rows for Owned {
-    type Row = Drawable;
-
-    fn category_of(&self, d: &Drawable) -> CategoryId {
-        d.category()
-    }
-
-    fn interval(&self, d: &Drawable) -> (f64, f64) {
-        (d.start(), d.end())
-    }
-
-    fn drawables(&self, rows: Vec<Drawable>) -> Vec<Drawable> {
-        rows
-    }
-}
-
-/// Indices into columnar storage.
-impl Rows for DrawableColumns {
-    type Row = u32;
-
-    fn category_of(&self, &i: &u32) -> CategoryId {
-        self.category(i as usize)
-    }
-
-    fn interval(&self, &i: &u32) -> (f64, f64) {
-        (self.start(i as usize), self.end(i as usize))
-    }
-
-    fn drawables(&self, rows: Vec<u32>) -> Vec<Drawable> {
-        rows.iter().map(|&i| self.to_drawable(i as usize)).collect()
-    }
-}
-
 /// The split rule's fixed parameters.
 #[derive(Clone, Copy)]
 struct Split {
@@ -275,31 +224,9 @@ struct Split {
     max_depth: u32,
 }
 
-fn build_tree<R: Rows>(
-    rows: &R,
-    items: Vec<R::Row>,
-    t0: f64,
-    t1: f64,
-    capacity: usize,
-    max_depth: u32,
-    parallelism: usize,
-) -> FrameTree {
-    let split = Split {
-        capacity: capacity.max(1),
-        max_depth,
-    };
-    // Each fork level doubles the worker count: budget = ceil(log2 n).
-    let forks = parallelism.max(1).next_power_of_two().trailing_zeros();
-    FrameTree {
-        root: build_node(rows, items, t0, t1, 0, split, forks),
-        capacity: split.capacity,
-        max_depth,
-    }
-}
-
-fn build_node<R: Rows>(
-    rows: &R,
-    items: Vec<R::Row>,
+fn build_node(
+    cols: &DrawableColumns,
+    rows: Vec<u32>,
     t0: f64,
     t1: f64,
     depth: u32,
@@ -307,24 +234,23 @@ fn build_node<R: Rows>(
     forks: u32,
 ) -> FrameNode {
     // The preview over the whole subtree is accumulated here, top-down,
-    // from this node's full item list in item order. Keeping that exact
+    // from this node's full row list in row order. Keeping that exact
     // accumulation (instead of merging child previews bottom-up) is what
     // makes the forked build byte-identical to the serial one: f64
     // summation is association-sensitive, so the merge order must not
     // depend on how the recursion is scheduled.
     let mut preview = Preview::default();
-    for row in &items {
-        let (start, end) = rows.interval(row);
-        preview.add(rows.category_of(row), end - start);
+    for &row in &rows {
+        preview.add(cols.category(row as usize), cols.duration(row as usize));
     }
 
-    let splittable = items.len() > split.capacity && depth < split.max_depth && t1 > t0;
+    let splittable = rows.len() > split.capacity && depth < split.max_depth && t1 > t0;
     if !splittable {
         return FrameNode {
             t0,
             t1,
             depth,
-            drawables: rows.drawables(items),
+            drawables: materialize(cols, &rows),
             preview,
             children: None,
         };
@@ -334,8 +260,8 @@ fn build_node<R: Rows>(
     let mut here = Vec::new();
     let mut left = Vec::new();
     let mut right = Vec::new();
-    for row in items {
-        let (start, end) = rows.interval(&row);
+    for row in rows {
+        let (start, end) = (cols.start(row as usize), cols.end(row as usize));
         if end <= mid {
             left.push(row);
         } else if start >= mid {
@@ -353,8 +279,8 @@ fn build_node<R: Rows>(
         let down = depth + 1;
         if forks > 0 && left.len().min(right.len()) >= FORK_THRESHOLD {
             std::thread::scope(|s| {
-                let rh = s.spawn(|| build_node(rows, right, mid, t1, down, split, forks - 1));
-                let l = build_node(rows, left, t0, mid, down, split, forks - 1);
+                let rh = s.spawn(|| build_node(cols, right, mid, t1, down, split, forks - 1));
+                let l = build_node(cols, left, t0, mid, down, split, forks - 1);
                 Box::new((l, rh.join().expect("tree build worker panicked")))
             })
         } else {
@@ -362,8 +288,8 @@ fn build_node<R: Rows>(
             // joined before right starts, so the budget can pass down
             // unchanged without exceeding the concurrency cap.
             Box::new((
-                build_node(rows, left, t0, mid, down, split, forks),
-                build_node(rows, right, mid, t1, down, split, forks),
+                build_node(cols, left, t0, mid, down, split, forks),
+                build_node(cols, right, mid, t1, down, split, forks),
             ))
         }
     });
@@ -371,10 +297,14 @@ fn build_node<R: Rows>(
         t0,
         t1,
         depth,
-        drawables: rows.drawables(here),
+        drawables: materialize(cols, &here),
         preview,
         children,
     }
+}
+
+fn materialize(cols: &DrawableColumns, rows: &[u32]) -> Vec<Drawable> {
+    rows.iter().map(|&i| cols.to_drawable(i as usize)).collect()
 }
 
 fn query_node<'a>(node: &'a FrameNode, w: TimeWindow, out: &mut Vec<&'a Drawable>) {
@@ -594,55 +524,31 @@ mod tests {
     #[test]
     fn parallel_build_is_identical_to_serial() {
         let ds = forking_input();
-        let serial = FrameTree::build(ds.clone(), 0.0, 20.1, 64, 16);
+        let mut cols = DrawableColumns::new();
+        for d in &ds {
+            cols.push(d);
+        }
+        let serial = FrameTree::build(&ds, 0.0, 20.1, 64, 16);
         for threads in [2, 3, 4, 8] {
-            let par = FrameTree::build_with_parallelism(ds.clone(), 0.0, 20.1, 64, 16, threads);
+            let par = FrameTree::build_columnar(&cols, 0.0, 20.1, 64, 16, threads);
             assert_eq!(par, serial, "{threads} threads");
         }
     }
 
     #[test]
-    fn columnar_build_is_identical_to_enum_build() {
-        use crate::drawable::ArrowDrawable;
-        let mut ds = forking_input();
-        // Mix in events, arrows (including a backward one), and texts so
-        // every column participates.
-        ds.push(event(7, 3.3));
-        ds.push(Drawable::Arrow(ArrowDrawable {
-            category: CategoryId(9),
-            from_timeline: TimelineId(1),
-            to_timeline: TimelineId(2),
-            start: 2.0,
-            end: 2.5,
-            tag: 4,
-            size: 16,
-        }));
-        ds.push(Drawable::Arrow(ArrowDrawable {
-            category: CategoryId(9),
-            from_timeline: TimelineId(2),
-            to_timeline: TimelineId(0),
-            start: 6.0,
-            end: 5.0, // backward: raw start > raw end
-            tag: 5,
-            size: 8,
-        }));
-        ds.push(Drawable::State(StateDrawable {
-            category: CategoryId(1),
-            timeline: TimelineId(3),
-            start: 0.5,
-            end: 9.5,
-            nest_level: 2,
-            text: "Line: 42 | Line: 43".into(),
-        }));
-        let mut cols = DrawableColumns::new();
-        for d in &ds {
-            cols.push(d);
-        }
-        for threads in [1, 4] {
-            let reference =
-                FrameTree::build_with_parallelism(ds.clone(), 0.0, 20.1, 64, 16, threads);
-            let columnar = FrameTree::build_columnar(&cols, 0.0, 20.1, 64, 16, threads);
-            assert_eq!(columnar, reference, "{threads} threads");
-        }
+    fn build_round_trips_every_kind_of_drawable() {
+        let mut ds = crate::columnar::tests::sample();
+        ds.extend((0..40).map(|i| state(i % 3, i as f64 * 0.2, i as f64 * 0.2 + 0.1)));
+        let t = FrameTree::build(&ds, 0.0, 10.0, 4, 8);
+        assert!(!t.root.is_leaf());
+        let sorted = |v: Vec<&Drawable>| {
+            let mut s: Vec<String> = v.iter().map(|d| format!("{d:?}")).collect();
+            s.sort();
+            s
+        };
+        assert_eq!(
+            sorted(t.query(TimeWindow::ALL)),
+            sorted(ds.iter().collect())
+        );
     }
 }

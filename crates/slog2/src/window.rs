@@ -12,10 +12,10 @@
 //!   a window edge is drawn, matching Jumpshot's behaviour.
 //!
 //! The frame tree answers "what is in this window?" with
-//! [`FrameTree::query`](crate::FrameTree::query),
-//! [`window_preview`](crate::FrameTree::window_preview) and
-//! [`count_in`](crate::FrameTree::count_in); a whole file answers
-//! through its `tree`.
+//! [`FrameTree::query`](crate::FrameTree::query) and
+//! [`window_preview`](crate::FrameTree::window_preview), whose total
+//! count is the number of drawables the query returns; a whole file
+//! answers through its `tree`.
 
 use crate::drawable::Drawable;
 

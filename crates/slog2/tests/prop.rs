@@ -109,10 +109,6 @@ proptest! {
             prop_assert!(TimeWindow::new(d.start(), d.start()).overlaps(d));
             prop_assert!(TimeWindow::new(d.end(), d.end()).overlaps(d));
         }
-        // `count_in` agrees with the rule.
-        let tree = FrameTree::build(ds.clone(), 0.0, 105.0, 8, 12);
-        let want = ds.iter().filter(|d| w.overlaps(d)).count();
-        prop_assert_eq!(tree.count_in(w), want);
     }
 
     /// `window_preview` (which may shortcut through precomputed node

@@ -16,15 +16,17 @@
 //! its shard).
 //!
 //! Hit / miss / eviction / single-flight-wait counts and a per-shard
-//! occupancy gauge go to an [`obs`] registry — one metric shard per
-//! cache shard, merged at snapshot time. The cache lookup and any
-//! single-flight wait are timed as the active request's `cache` phase;
-//! the compute itself is timed by the compute path (`index`/`render`).
+//! occupancy gauge are registered once per cache shard, twice: in the
+//! server's [`obs`] registry under `serve.cache.*`, where `/metrics`
+//! totals every trace's cache, and privately, for this trace's
+//! `/v1/stats`. The cache lookup and any single-flight wait are timed
+//! as the active request's `cache` phase; the compute itself is timed
+//! by the compute path (`index`/`render`).
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Condvar, Mutex};
 
-use obs::{ObsHandle, Phase};
+use obs::{Counter, Gauge, ObsHandle, Phase};
 use slog2::fnv::{fnv1a, FNV_SEED};
 
 use crate::obsplane::PhaseTimer;
@@ -127,11 +129,35 @@ impl ShardState {
     }
 }
 
+/// One cache shard's metric handles, each registered twice: `[0]` in
+/// the server's registry, `[1]` private to this cache.
+struct ShardMetrics {
+    hit: [Counter; 2],
+    miss: [Counter; 2],
+    eviction: [Counter; 2],
+    singleflight_wait: [Counter; 2],
+    occupancy: [Gauge; 2],
+}
+
+impl ShardMetrics {
+    fn register(server: &obs::Shard) -> ShardMetrics {
+        let own = obs::Shard::default();
+        let counter = |name| [server, &own].map(|s| s.counter(name));
+        ShardMetrics {
+            hit: counter("serve.cache.hit"),
+            miss: counter("serve.cache.miss"),
+            eviction: counter("serve.cache.eviction"),
+            singleflight_wait: counter("serve.cache.singleflight_wait"),
+            occupancy: [server, &own].map(|s| s.gauge("serve.cache.occupancy")),
+        }
+    }
+}
+
 /// The sharded LRU cache of rendered tile bodies.
 pub struct TileCache {
     shards: Vec<Mutex<ShardState>>,
+    metrics: Vec<ShardMetrics>,
     per_shard_capacity: usize,
-    obs: ObsHandle,
 }
 
 /// Deregisters an in-flight marker if the compute unwinds, so waiters
@@ -157,12 +183,14 @@ impl Drop for FlightGuard<'_> {
 
 impl TileCache {
     /// A cache holding at most `capacity` tiles total (rounded up to a
-    /// multiple of [`CACHE_SHARDS`]), reporting to `obs`.
-    pub fn new(capacity: usize, obs: ObsHandle) -> TileCache {
+    /// multiple of [`CACHE_SHARDS`]), also counting into `obs`.
+    pub fn new(capacity: usize, obs: &ObsHandle) -> TileCache {
         TileCache {
             shards: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
+            metrics: (0..CACHE_SHARDS)
+                .map(|i| ShardMetrics::register(&obs.shard(i)))
+                .collect(),
             per_shard_capacity: capacity.div_ceil(CACHE_SHARDS).max(1),
-            obs,
         }
     }
 
@@ -174,7 +202,7 @@ impl TileCache {
     /// someone else computed).
     pub fn get_or_compute(&self, key: TileKey, f: impl FnOnce() -> String) -> Arc<String> {
         let shard_idx = key.shard();
-        let metrics = self.obs.shard(shard_idx);
+        let metrics = &self.metrics[shard_idx];
         loop {
             enum Action {
                 Hit(Arc<String>),
@@ -187,13 +215,13 @@ impl TileCache {
                 if let Some((_, body)) = shard.map.get(&key) {
                     let body = Arc::clone(body);
                     shard.touch(key);
-                    metrics.counter("serve.cache.hit").inc();
+                    metrics.hit.iter().for_each(Counter::inc);
                     Action::Hit(body)
                 } else if let Some(flight) = shard.in_flight.get(&key) {
-                    metrics.counter("serve.cache.singleflight_wait").inc();
+                    metrics.singleflight_wait.iter().for_each(Counter::inc);
                     Action::Wait(Arc::clone(flight))
                 } else {
-                    metrics.counter("serve.cache.miss").inc();
+                    metrics.miss.iter().for_each(Counter::inc);
                     let flight = Arc::new(Flight::default());
                     shard.in_flight.insert(key, Arc::clone(&flight));
                     Action::Compute(flight)
@@ -208,7 +236,7 @@ impl TileCache {
                     };
                     match waited {
                         Some(body) => {
-                            metrics.counter("serve.cache.hit").inc();
+                            metrics.hit.iter().for_each(Counter::inc);
                             return body;
                         }
                         None => continue, // the computing thread unwound
@@ -235,12 +263,11 @@ impl TileCache {
                                 shard.order.iter().next().expect("order tracks map");
                             shard.order.remove(&stamp);
                             shard.map.remove(&victim);
-                            metrics.counter("serve.cache.eviction").inc();
+                            metrics.eviction.iter().for_each(Counter::inc);
                         }
                         shard.in_flight.remove(&key);
-                        metrics
-                            .gauge("serve.cache.occupancy")
-                            .set(shard.map.len() as i64);
+                        let entries = shard.map.len() as i64;
+                        metrics.occupancy.iter().for_each(|g| g.set(entries));
                     }
                     guard.armed = false;
                     flight.resolve(FlightState::Done(Arc::clone(&body)));
@@ -250,19 +277,23 @@ impl TileCache {
         }
     }
 
-    /// Merged (hit, miss, eviction) counts across every shard.
+    /// This cache's (hit, miss, eviction) counts across every shard.
     pub fn counters(&self) -> (u64, u64, u64) {
-        let snap = self.obs.snapshot();
         (
-            snap.counter("serve.cache.hit"),
-            snap.counter("serve.cache.miss"),
-            snap.counter("serve.cache.eviction"),
+            self.total(|m| &m.hit),
+            self.total(|m| &m.miss),
+            self.total(|m| &m.eviction),
         )
     }
 
-    /// How many lookups waited on another thread's in-flight compute.
+    /// How many of this cache's lookups waited on another thread's
+    /// in-flight compute.
     pub fn singleflight_waits(&self) -> u64 {
-        self.obs.snapshot().counter("serve.cache.singleflight_wait")
+        self.total(|m| &m.singleflight_wait)
+    }
+
+    fn total(&self, counter: fn(&ShardMetrics) -> &[Counter; 2]) -> u64 {
+        self.metrics.iter().map(|m| counter(m)[1].get()).sum()
     }
 
     /// Current per-shard entry counts, in shard order.
@@ -273,15 +304,12 @@ impl TileCache {
             .collect()
     }
 
-    /// High-water mark of any single shard's occupancy (gauge highs
-    /// max under merge, so the merged snapshot reports the busiest
-    /// shard's peak).
+    /// High-water mark of any single shard's occupancy in this cache.
     pub fn shard_occupancy_high(&self) -> i64 {
-        self.obs
-            .snapshot()
-            .gauges
-            .get("serve.cache.occupancy")
-            .map(|g| g.high)
+        self.metrics
+            .iter()
+            .map(|m| m.occupancy[1].high())
+            .max()
             .unwrap_or(0)
     }
 
@@ -311,7 +339,7 @@ mod tests {
 
     #[test]
     fn hit_after_miss_returns_same_body() {
-        let cache = TileCache::new(64, obs::Obs::handle());
+        let cache = TileCache::new(64, &obs::Obs::handle());
         let a = cache.get_or_compute(key(1), || "body".to_string());
         let b = cache.get_or_compute(key(1), || panic!("must not recompute"));
         assert_eq!(a, b);
@@ -322,7 +350,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_do_not_collide() {
-        let cache = TileCache::new(1024, obs::Obs::handle());
+        let cache = TileCache::new(1024, &obs::Obs::handle());
         for t in 0..100 {
             cache.get_or_compute(key(t), || format!("tile {t}"));
         }
@@ -337,7 +365,7 @@ mod tests {
     fn lru_evicts_oldest_first() {
         // Capacity 16 total = 1 per shard; keys landing in the same
         // shard evict each other oldest-first.
-        let cache = TileCache::new(16, obs::Obs::handle());
+        let cache = TileCache::new(16, &obs::Obs::handle());
         let mut by_shard: HashMap<usize, Vec<u32>> = HashMap::new();
         for t in 0..64 {
             by_shard.entry(key(t).shard()).or_default().push(t);
@@ -358,7 +386,7 @@ mod tests {
 
     #[test]
     fn digest_isolates_file_versions() {
-        let cache = TileCache::new(64, obs::Obs::handle());
+        let cache = TileCache::new(64, &obs::Obs::handle());
         let old = TileKey {
             digest: 1,
             ..key(0)
@@ -374,7 +402,7 @@ mod tests {
 
     #[test]
     fn concurrent_same_key_computes_once() {
-        let cache = Arc::new(TileCache::new(64, obs::Obs::handle()));
+        let cache = Arc::new(TileCache::new(64, &obs::Obs::handle()));
         let computes = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let mut handles = Vec::new();
         for _ in 0..8 {
@@ -396,7 +424,7 @@ mod tests {
 
     #[test]
     fn waiters_are_counted_and_served_without_recomputing() {
-        let cache = Arc::new(TileCache::new(64, obs::Obs::handle()));
+        let cache = Arc::new(TileCache::new(64, &obs::Obs::handle()));
         let gate = Arc::new(std::sync::Barrier::new(2));
         let computer = {
             let cache = Arc::clone(&cache);
@@ -426,7 +454,7 @@ mod tests {
         // stall other keys (even same-shard ones). Start a slow compute,
         // then fetch every other key; total time far below the sleep
         // proves no one queued behind it.
-        let cache = Arc::new(TileCache::new(1024, obs::Obs::handle()));
+        let cache = Arc::new(TileCache::new(1024, &obs::Obs::handle()));
         let gate = Arc::new(std::sync::Barrier::new(2));
         let slow = {
             let cache = Arc::clone(&cache);
@@ -454,7 +482,7 @@ mod tests {
 
     #[test]
     fn panicked_compute_releases_waiters_to_retry() {
-        let cache = Arc::new(TileCache::new(64, obs::Obs::handle()));
+        let cache = Arc::new(TileCache::new(64, &obs::Obs::handle()));
         let gate = Arc::new(std::sync::Barrier::new(2));
         let dead = {
             let cache = Arc::clone(&cache);
@@ -478,7 +506,7 @@ mod tests {
 
     #[test]
     fn occupancy_tracks_entries_per_shard() {
-        let cache = TileCache::new(1024, obs::Obs::handle());
+        let cache = TileCache::new(1024, &obs::Obs::handle());
         for t in 0..32 {
             cache.get_or_compute(key(t), || "x".into());
         }

@@ -283,15 +283,28 @@ fn reject_connection(stream: TcpStream, status: u16, body: &str) {
 }
 
 fn simple_response(status: u16, body: &str) -> String {
+    response_head(status, "text/plain", body.len(), None, true) + body
+}
+
+/// The status line and headers of every response: `Retry-After` on a
+/// retryable status, and the request's `X-Trace-Id` when it was traced.
+fn response_head(
+    status: u16,
+    content_type: &str,
+    len: usize,
+    trace_id: Option<&str>,
+    close: bool,
+) -> String {
     let retry = if retryable(status) {
         "Retry-After: 1\r\n"
     } else {
         ""
     };
+    let trace = trace_id.map_or(String::new(), |id| format!("X-Trace-Id: {id}\r\n"));
+    let connection = if close { "close" } else { "keep-alive" };
     format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: text/plain\r\nContent-Length: {}\r\n{retry}Connection: close\r\n\r\n{body}",
-        reason(status),
-        body.len(),
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {len}\r\n{retry}{trace}Connection: {connection}\r\n\r\n",
+        reason(status)
     )
 }
 
@@ -582,24 +595,13 @@ fn handle_connection(
         let (status, content_type, resp_body) = route_request(app, method, target, &body);
         deadline::clear();
 
-        let connection = if close { "close" } else { "keep-alive" };
-        let retry = if retryable(status) {
-            "Retry-After: 1\r\n"
-        } else {
-            ""
-        };
-        let head = match trace_id.as_deref() {
-            Some(id) => format!(
-                "HTTP/1.1 {status} {} \r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{retry}X-Trace-Id: {id}\r\nConnection: {connection}\r\n\r\n",
-                reason(status),
-                resp_body.len(),
-            ),
-            None => format!(
-                "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{retry}Connection: {connection}\r\n\r\n",
-                reason(status),
-                resp_body.len(),
-            ),
-        };
+        let head = response_head(
+            status,
+            content_type,
+            resp_body.len(),
+            trace_id.as_deref(),
+            close,
+        );
         let write_phase = PhaseTimer::start(Phase::Write);
         let wrote = writer.write_all(head.as_bytes()).is_ok()
             && writer.write_all(resp_body.as_bytes()).is_ok();

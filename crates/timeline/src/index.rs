@@ -10,17 +10,14 @@
 
 use slog2::{ArrowDrawable, Drawable, FrameTree, Preview, Slog2File, TimeWindow};
 
-/// Frame capacity for the per-rank trees. Per-rank trees hold fewer
-/// drawables than the whole file, so a smaller frame keeps the tree
-/// deep enough for preview pruning to pay off.
+/// Frame capacity and depth limit of the per-rank trees: the
+/// converter's defaults, so a rank's tree splits like the file's.
 const RANK_FRAME_CAPACITY: usize = 64;
 const RANK_MAX_DEPTH: u32 = 16;
 
 /// Per-rank interval index over one loaded SLOG2 file.
 #[derive(Debug)]
 pub struct TimelineIndex {
-    /// The file's global time range.
-    pub range: TimeWindow,
     /// `ranks[r]` holds rank r's states and events.
     ranks: Vec<FrameTree>,
     /// All message arrows, shared across ranks.
@@ -28,34 +25,31 @@ pub struct TimelineIndex {
 }
 
 impl TimelineIndex {
-    /// Build the index by scanning `file` once.
+    /// Build the index by scanning `file` once. The trees are built from
+    /// the file's drawables by reference, one rank at a time.
     pub fn build(file: &Slog2File) -> TimelineIndex {
-        let nranks = file.timelines.len();
-        let mut per_rank: Vec<Vec<Drawable>> = vec![Vec::new(); nranks];
-        let mut arrows: Vec<Drawable> = Vec::new();
+        let mut per_rank: Vec<Vec<&Drawable>> = vec![Vec::new(); file.timelines.len()];
+        let mut arrows = Vec::new();
         for d in file.tree.query(TimeWindow::ALL) {
-            match d {
-                Drawable::State(s) => {
-                    if let Some(v) = per_rank.get_mut(s.timeline.as_usize()) {
-                        v.push(d.clone());
-                    }
+            let rank = match d {
+                Drawable::State(s) => s.timeline,
+                Drawable::Event(e) => e.timeline,
+                Drawable::Arrow(_) => {
+                    arrows.push(d);
+                    continue;
                 }
-                Drawable::Event(e) => {
-                    if let Some(v) = per_rank.get_mut(e.timeline.as_usize()) {
-                        v.push(d.clone());
-                    }
-                }
-                Drawable::Arrow(_) => arrows.push(d.clone()),
+            };
+            if let Some(v) = per_rank.get_mut(rank.as_usize()) {
+                v.push(d);
             }
         }
         let w = file.range;
+        let tree = |ds: Vec<&Drawable>| {
+            FrameTree::build(ds, w.t0, w.t1, RANK_FRAME_CAPACITY, RANK_MAX_DEPTH)
+        };
         TimelineIndex {
-            range: w,
-            ranks: per_rank
-                .into_iter()
-                .map(|ds| FrameTree::build(ds, w.t0, w.t1, RANK_FRAME_CAPACITY, RANK_MAX_DEPTH))
-                .collect(),
-            arrows: FrameTree::build(arrows, w.t0, w.t1, RANK_FRAME_CAPACITY, RANK_MAX_DEPTH),
+            ranks: per_rank.into_iter().map(tree).collect(),
+            arrows: tree(arrows),
         }
     }
 
@@ -73,17 +67,10 @@ impl TimelineIndex {
         }
     }
 
-    /// How many of rank `r`'s states/events overlap `w` — the detail
-    /// vs. preview decision input.
-    pub fn rank_count(&self, rank: u32, w: TimeWindow) -> usize {
-        match self.ranks.get(rank as usize) {
-            Some(tree) => tree.count_in(w),
-            None => 0,
-        }
-    }
-
     /// Rank `r`'s preview aggregate over `w`, from frame-tree node
-    /// previews where the window fully covers a node.
+    /// previews where the window fully covers a node. Its total count is
+    /// the number of drawables [`rank_drawables`](Self::rank_drawables)
+    /// returns.
     pub fn rank_preview(&self, rank: u32, w: TimeWindow) -> Preview {
         match self.ranks.get(rank as usize) {
             Some(tree) => tree.window_preview(w),
@@ -106,11 +93,6 @@ impl TimelineIndex {
                 _ => None,
             })
             .collect()
-    }
-
-    /// All arrows overlapping `w`, regardless of rank.
-    pub fn arrows_in(&self, w: TimeWindow) -> Vec<&Drawable> {
-        self.arrows.query(w)
     }
 
     /// Every rank's drawables overlapping `w`, then the arrows.
@@ -211,7 +193,6 @@ mod tests {
             .sum();
         // 12 states + 1 event; the arrow lives in the shared tree.
         assert_eq!(total, 13);
-        assert_eq!(idx.arrows_in(TimeWindow::ALL).len(), 1);
         assert_eq!(idx.drawables_in(TimeWindow::ALL).len(), 14);
     }
 
@@ -251,19 +232,6 @@ mod tests {
     fn unknown_rank_is_empty() {
         let idx = TimelineIndex::build(&file());
         assert!(idx.rank_drawables(99, TimeWindow::ALL).is_empty());
-        assert_eq!(idx.rank_count(99, TimeWindow::ALL), 0);
         assert!(idx.rank_preview(99, TimeWindow::ALL).entries.is_empty());
-    }
-
-    #[test]
-    fn preview_counts_match_detail_counts() {
-        let f = file();
-        let idx = TimelineIndex::build(&f);
-        let w = TimeWindow::new(0.5, 3.5);
-        for r in 0..3 {
-            let detail = idx.rank_count(r, w);
-            let preview: u64 = idx.rank_preview(r, w).entries.iter().map(|e| e.count).sum();
-            assert_eq!(detail as u64, preview, "rank {r}");
-        }
     }
 }

@@ -25,6 +25,10 @@ use crate::obsplane::PhaseTimer;
 /// below a second per tile on any real trace).
 pub const MAX_ZOOM: u8 = 24;
 
+/// Windows with at most this many drawables of a rank answer that rank
+/// in detail; denser windows answer with preview aggregates.
+const DETAIL_LIMIT: u64 = 512;
+
 /// FNV-1a 64-bit digest — the cache key's file-version component.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv::fnv1a(fnv::FNV_SEED, bytes)
@@ -37,9 +41,6 @@ pub struct TimelineService {
     cache: TileCache,
     obs: ObsHandle,
     digest: u64,
-    /// Windows with at most this many per-rank drawables answer in
-    /// detail; denser windows answer with preview aggregates.
-    pub detail_limit: usize,
     queries: AtomicU64,
     diagnosis: OnceLock<String>,
     baseline: Option<Baseline>,
@@ -88,10 +89,9 @@ impl TimelineService {
     pub fn with_obs(file: Slog2File, digest: u64, obs: ObsHandle) -> TimelineService {
         TimelineService {
             index: TimelineIndex::build(&file),
-            cache: TileCache::new(4096, obs.clone()),
+            cache: TileCache::new(4096, &obs),
             obs,
             digest,
-            detail_limit: 512,
             queries: AtomicU64::new(0),
             diagnosis: OnceLock::new(),
             baseline: None,
@@ -147,11 +147,6 @@ impl TimelineService {
         &self.file
     }
 
-    /// The per-rank interval index.
-    pub fn index(&self) -> &TimelineIndex {
-        &self.index
-    }
-
     /// FNV-1a digest of the file bytes.
     pub fn digest(&self) -> u64 {
         self.digest
@@ -194,7 +189,7 @@ impl TimelineService {
                 "categories".into(),
                 Json::Num(self.file.categories.len() as f64),
             ),
-            ("detail_limit".into(), Json::Num(self.detail_limit as f64)),
+            ("detail_limit".into(), Json::Num(DETAIL_LIMIT as f64)),
             ("max_zoom".into(), Json::Num(MAX_ZOOM as f64)),
         ])
         .compact()
@@ -267,8 +262,8 @@ impl TimelineService {
 
     /// `/v1/query` — the window query: per requested rank, either full
     /// detail (every state/event/arrow overlapping the window) or, past
-    /// [`detail_limit`](Self::detail_limit), the preview aggregate the
-    /// frame tree keeps per node — the zoomed-out colour-stripe data.
+    /// the detail limit (512 drawables), the preview aggregate the frame
+    /// tree keeps per node — the zoomed-out colour-stripe data.
     pub fn query_json(&self, w: TimeWindow, ranks: Option<&[u32]>) -> String {
         self.query_json_impl(w, ranks, false)
             .expect("unbounded query never aborts")
@@ -329,13 +324,10 @@ impl TimelineService {
         // Index phase: every interval-index scan for this rank.
         let index_phase = PhaseTimer::start(Phase::Index);
         let arrows = self.index.rank_arrows(rank, w);
-        let count = self.index.rank_count(rank, w);
-        let detail = (count <= self.detail_limit).then(|| self.index.rank_drawables(rank, w));
-        let preview = if detail.is_none() {
-            Some(self.index.rank_preview(rank, w))
-        } else {
-            None
-        };
+        // The preview counts exactly the drawables a detail query returns.
+        let preview = self.index.rank_preview(rank, w);
+        let count = preview.total_count();
+        let detail = (count <= DETAIL_LIMIT).then(|| self.index.rank_drawables(rank, w));
         drop(index_phase);
 
         // Render phase: assembling the JSON tree from the gathered data.
@@ -392,7 +384,6 @@ impl TimelineService {
             fields.push(("states".into(), Json::Arr(states)));
             fields.push(("events".into(), Json::Arr(events)));
         } else {
-            let preview = preview.expect("preview gathered when not detail");
             fields.push(("mode".into(), Json::Str("preview".into())));
             fields.push((
                 "preview".into(),
@@ -629,13 +620,13 @@ mod tests {
 
     #[test]
     fn dense_window_answers_with_preview() {
-        let mut svc = service(100);
-        svc.detail_limit = 10;
+        let n = DETAIL_LIMIT as usize + 1;
+        let svc = service(n);
         let v = Json::parse(&svc.query_json(TimeWindow::ALL, Some(&[0]))).unwrap();
         let rank = &v.get("ranks").unwrap().as_arr().unwrap()[0];
         assert_eq!(rank.get("mode").unwrap().as_str().unwrap(), "preview");
         let preview = rank.get("preview").unwrap().as_arr().unwrap();
-        assert_eq!(preview[0].get("count").unwrap().as_u64().unwrap(), 100);
+        assert_eq!(preview[0].get("count").unwrap().as_u64().unwrap(), n as u64);
     }
 
     #[test]

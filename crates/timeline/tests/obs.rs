@@ -4,6 +4,8 @@
 //! percentiles, and — the determinism guard — response bodies must be
 //! byte-identical with tracing on or off.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -173,9 +175,9 @@ fn endpoint_summary_reports_phase_percentiles() {
     }
 }
 
-/// The determinism guard: tile and render bodies are byte-identical
-/// with tracing enabled and disabled, and untraced responses carry no
-/// `X-Trace-Id`.
+/// The determinism guard: tile and render bodies and the status line
+/// are byte-identical with tracing enabled and disabled, and untraced
+/// responses carry no `X-Trace-Id`.
 #[test]
 fn responses_are_byte_identical_with_and_without_tracing() {
     let app_off = App::single(service());
@@ -205,6 +207,20 @@ fn responses_are_byte_identical_with_and_without_tracing() {
             "{path}: trace id leaked into the body"
         );
     }
+    // The status line too: tracing adds one header and changes nothing
+    // else in the head.
+    let status_line = |port: u16| {
+        let mut stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
+        stream
+            .write_all(b"GET /v1/info HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).unwrap();
+        line
+    };
+    let line_off = status_line(server_off.port());
+    assert_eq!(line_off, "HTTP/1.1 200 OK\r\n");
+    assert_eq!(status_line(server_on.port()), line_off);
     // The traced side really did trace.
     assert!(app_on.plane().flight().recorded() > 0);
     assert_eq!(app_off.plane().flight().recorded(), 0);
@@ -213,7 +229,8 @@ fn responses_are_byte_identical_with_and_without_tracing() {
 }
 
 /// Single-flight waits surface in `/v1/stats` when concurrent clients
-/// race for the same cold tile.
+/// race for the same cold tile; the cache fields count only the
+/// selected trace's cache, while `/metrics` keeps the server's totals.
 #[test]
 fn stats_expose_singleflight_and_occupancy() {
     let mut svc = service();
@@ -242,8 +259,27 @@ fn stats_expose_singleflight_and_occupancy() {
     assert!(bodies.windows(2).all(|w| w[0] == w[1]));
 
     let mut probe = Client::connect(&addr).unwrap();
+    let upload = probe
+        .post("/v1/traces?id=other", &test_file().to_bytes())
+        .unwrap();
+    assert_eq!(upload.status, 201, "{}", upload.body);
     let (_, stats) = probe.get("/v1/stats").unwrap();
+    let (_, other) = probe.get("/v1/stats?trace=other").unwrap();
+    let (_, metrics) = probe.get("/metrics").unwrap();
     server.stop();
+
+    let o = Json::parse(&other).unwrap();
+    for k in [
+        "cache_hits",
+        "cache_misses",
+        "cache_evictions",
+        "cache_singleflight_waits",
+        "cache_shard_occupancy_high",
+    ] {
+        assert_eq!(o.get(k).and_then(Json::as_u64), Some(0), "{k}: {other}");
+    }
+    assert!(metrics.contains("\nserve_cache_miss 1\n"), "{metrics}");
+
     let v = Json::parse(&stats).unwrap();
     let n = |k: &str| v.get(k).and_then(Json::as_u64).unwrap_or(0);
     assert_eq!(n("cache_misses"), 1, "{stats}");

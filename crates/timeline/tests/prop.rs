@@ -127,7 +127,7 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(sorted_dbg(&idx.rank_drawables(rank, w)), sorted_dbg(&want));
-        prop_assert_eq!(idx.rank_count(rank, w), want.len());
+        prop_assert_eq!(idx.rank_preview(rank, w).total_count(), want.len() as u64);
         let want_arrows = ds
             .iter()
             .filter(|d| w.overlaps(d))
