@@ -6,6 +6,10 @@
 //! indentation, object keys in insertion order, numbers in Rust's
 //! shortest round-trip form (so `parse(print(x))` recovers `x`
 //! bit-for-bit for finite floats).
+//!
+//! The two leaf writers, [`write_number`] and [`write_escaped`], are
+//! public: a hot path that writes a body straight into one buffer
+//! through them prints the bytes the equivalent [`Json`] tree would.
 
 use std::fmt::Write as _;
 
@@ -201,16 +205,46 @@ fn push_indent(out: &mut String, indent: usize) {
     }
 }
 
-fn write_number(out: &mut String, n: f64) {
+/// Append `n` as a JSON number: integral values below 2⁵³ in magnitude
+/// as plain integers (`-0.0` prints `0`), everything else in Rust's
+/// shortest round-trip form. Every printer in this module writes
+/// numbers through here, so a body written by hand with it is
+/// byte-identical to the same [`Json`] tree's [`compact`](Json::compact).
+///
+/// # Panics
+/// If `n` is NaN or infinite — JSON has no literal for either.
+pub fn write_number(out: &mut String, n: f64) {
     assert!(n.is_finite(), "JSON numbers must be finite, got {n}");
     if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
-        let _ = write!(out, "{}", n as i64);
+        // Integer fast path: a digit loop into a stack buffer instead
+        // of `core::fmt` — most numbers in a tile body are small
+        // integers (categories, ranks, tags, sizes).
+        let i = n as i64;
+        let mut buf = [0u8; 20];
+        let mut pos = buf.len();
+        let mut u = i.unsigned_abs();
+        loop {
+            pos -= 1;
+            buf[pos] = b'0' + (u % 10) as u8;
+            u /= 10;
+            if u == 0 {
+                break;
+            }
+        }
+        if i < 0 {
+            pos -= 1;
+            buf[pos] = b'-';
+        }
+        out.push_str(std::str::from_utf8(&buf[pos..]).expect("ASCII digits"));
     } else {
         let _ = write!(out, "{n}");
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Append `s` as a quoted JSON string, escaping quotes, backslashes
+/// and control characters. The one string writer behind
+/// [`Json::compact`] and [`Json::pretty`].
+pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -470,6 +504,22 @@ mod tests {
             let v = Json::Num(x);
             let back = Json::parse(&v.compact()).unwrap();
             assert_eq!(back.as_f64().unwrap().to_bits(), x.to_bits());
+        }
+    }
+
+    #[test]
+    fn integer_fast_path_matches_fmt() {
+        let max = 2f64.powi(53) - 1.0;
+        for n in [0.0, -0.0, 1.0, -1.0, f64::from(u32::MAX), max, -max] {
+            let mut out = String::new();
+            write_number(&mut out, n);
+            assert_eq!(out, format!("{}", n as i64), "{n:?}");
+        }
+        // 2^53 and beyond leave the fast path for the `{n}` form.
+        for n in [2f64.powi(53), -2f64.powi(53), 1e300] {
+            let mut out = String::new();
+            write_number(&mut out, n);
+            assert_eq!(out, format!("{n}"), "{n:?}");
         }
     }
 

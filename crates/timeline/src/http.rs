@@ -615,12 +615,20 @@ fn handle_connection(
 
 /// Dispatch one GET target against `app` — the old single-trace entry
 /// point, kept so routing tests run without sockets.
-pub fn route(app: &App, target: &str) -> (u16, &'static str, String) {
+pub fn route(app: &App, target: &str) -> Reply {
     route_request(app, "GET", target, &[])
 }
 
-fn retry_503() -> (u16, &'static str, String) {
-    (503, "text/plain", "deadline exceeded\n".to_string())
+/// A routed response: status, content type and body. The body is
+/// shared, so a cached tile is answered without copying its bytes.
+pub type Reply = (u16, &'static str, Arc<String>);
+
+fn reply(status: u16, content_type: &'static str, body: impl Into<String>) -> Reply {
+    (status, content_type, Arc::new(body.into()))
+}
+
+fn retry_503() -> Reply {
+    reply(503, "text/plain", "deadline exceeded\n")
 }
 
 /// Dispatch one request to the app: trace registry management under
@@ -628,12 +636,7 @@ fn retry_503() -> (u16, &'static str, String) {
 /// (selected by `?trace=`, defaulting to the boot trace). Split out
 /// from the connection loop so tests can exercise routing without
 /// sockets.
-pub fn route_request(
-    app: &App,
-    method: &str,
-    target: &str,
-    body: &[u8],
-) -> (u16, &'static str, String) {
+pub fn route_request(app: &App, method: &str, target: &str, body: &[u8]) -> Reply {
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p, q),
         None => (target, ""),
@@ -648,9 +651,9 @@ pub fn route_request(
     // Registry management is the one method-sensitive corner.
     if path == "/v1/traces" {
         return match method {
-            "GET" => (200, "application/json", app.registry().list_json()),
+            "GET" => reply(200, "application/json", app.registry().list_json()),
             "POST" => match app.registry().upload(get("id"), body) {
-                Ok(out) => (
+                Ok(out) => reply(
                     201,
                     "application/json",
                     Json::Obj(vec![
@@ -666,36 +669,38 @@ pub fn route_request(
                     ])
                     .compact(),
                 ),
-                Err(UploadError::OverBudget { bytes, budget }) => (
+                Err(UploadError::OverBudget { bytes, budget }) => reply(
                     413,
                     "text/plain",
                     format!("upload of {bytes} bytes exceeds registry budget of {budget}\n"),
                 ),
-                Err(UploadError::Invalid(why)) => (400, "text/plain", format!("{why}\n")),
+                Err(UploadError::Invalid(why)) => reply(400, "text/plain", format!("{why}\n")),
             },
-            _ => (405, "text/plain", "method not allowed\n".to_string()),
+            _ => reply(405, "text/plain", "method not allowed\n"),
         };
     }
     if let Some(id) = path.strip_prefix("/v1/traces/") {
         return match method {
             "DELETE" => match app.registry().remove(id) {
-                Ok(()) => (
+                Ok(()) => reply(
                     200,
                     "application/json",
                     Json::Obj(vec![("deleted".into(), Json::Str(id.to_string()))]).compact(),
                 ),
-                Err(RemoveError::NotFound) => (404, "text/plain", format!("no trace {id:?}\n")),
-                Err(RemoveError::Pinned) => (
+                Err(RemoveError::NotFound) => {
+                    reply(404, "text/plain", format!("no trace {id:?}\n"))
+                }
+                Err(RemoveError::Pinned) => reply(
                     409,
                     "text/plain",
                     format!("trace {id:?} is pinned and cannot be deleted\n"),
                 ),
             },
-            _ => (405, "text/plain", "method not allowed\n".to_string()),
+            _ => reply(405, "text/plain", "method not allowed\n"),
         };
     }
     if method != "GET" {
-        return (405, "text/plain", "method not allowed\n".to_string());
+        return reply(405, "text/plain", "method not allowed\n");
     }
 
     // Phase boundary: don't start work for a request that already blew
@@ -706,15 +711,15 @@ pub fn route_request(
 
     // App-level routes need no trace resolution.
     match path {
-        "/metrics" => return (200, "text/plain; version=0.0.4", app.metrics_text()),
-        "/v1/obs/endpoints" => return (200, "application/json", app.plane().endpoints_json()),
-        "/v1/obs/flight" => return (200, "application/json", app.plane().flight_json()),
+        "/metrics" => return reply(200, "text/plain; version=0.0.4", app.metrics_text()),
+        "/v1/obs/endpoints" => return reply(200, "application/json", app.plane().endpoints_json()),
+        "/v1/obs/flight" => return reply(200, "application/json", app.plane().flight_json()),
         _ => {}
     }
 
     let trace_sel = get("trace");
     let Some(entry) = app.registry().get(trace_sel) else {
-        return (
+        return reply(
             404,
             "text/plain",
             format!("no trace {:?}\n", trace_sel.unwrap_or("default")),
@@ -728,28 +733,28 @@ pub fn route_request(
                 None => $default,
                 Some(raw) => match raw.parse::<$ty>() {
                     Ok(v) => v,
-                    Err(_) => return (400, "text/plain", format!("bad {}: {raw:?}\n", $name)),
+                    Err(_) => return reply(400, "text/plain", format!("bad {}: {raw:?}\n", $name)),
                 },
             }
         };
     }
 
     let resp = match path {
-        "/v1/info" => (200, "application/json", svc.info_json()),
-        "/v1/legend" => (200, "application/json", svc.legend_json()),
-        "/v1/warnings" => (200, "application/json", svc.warnings_json()),
+        "/v1/info" => reply(200, "application/json", svc.info_json()),
+        "/v1/legend" => reply(200, "application/json", svc.legend_json()),
+        "/v1/warnings" => reply(200, "application/json", svc.warnings_json()),
         "/v1/stats" => {
             let mut fields = svc.stats_fields();
             fields.extend(app.registry().stats_fields());
-            (200, "application/json", Json::Obj(fields).compact())
+            reply(200, "application/json", Json::Obj(fields).compact())
         }
-        "/v1/diagnose" => (200, "application/json", svc.diagnose_json().to_string()),
+        "/v1/diagnose" => reply(200, "application/json", svc.diagnose_json()),
         "/v1/diff" => match svc.diff_json() {
-            Some(body) => (200, "application/json", body.to_string()),
-            None => (
+            Some(body) => reply(200, "application/json", body),
+            None => reply(
                 404,
                 "text/plain",
-                "no baseline registered (start pilotd with --baseline)\n".to_string(),
+                "no baseline registered (start pilotd with --baseline)\n",
             ),
         },
         "/v1/query" => {
@@ -763,7 +768,9 @@ pub fn route_request(
                     for piece in raw.split(',') {
                         match piece.parse::<u32>() {
                             Ok(r) => out.push(r),
-                            Err(_) => return (400, "text/plain", format!("bad ranks: {raw:?}\n")),
+                            Err(_) => {
+                                return reply(400, "text/plain", format!("bad ranks: {raw:?}\n"))
+                            }
                         }
                     }
                     Some(out)
@@ -772,7 +779,7 @@ pub fn route_request(
             // The bounded variant aborts between ranks once the
             // deadline passes — no truncated bodies, just a 503.
             match svc.query_json_bounded(TimeWindow::new(t0, t1), ranks.as_deref()) {
-                Some(body) => (200, "application/json", body),
+                Some(body) => reply(200, "application/json", body),
                 None => return retry_503(),
             }
         }
@@ -781,8 +788,8 @@ pub fn route_request(
             let zoom = param!("zoom" as u8, default 0);
             let tile = param!("tile" as u32, default 0);
             match svc.tile_json(rank, zoom, tile) {
-                Some(body) => (200, "application/json", body.as_ref().clone()),
-                None => (
+                Some(body) => (200, "application/json", body),
+                None => reply(
                     404,
                     "text/plain",
                     format!("no tile {tile} at zoom {zoom}\n"),
@@ -803,11 +810,11 @@ pub fn route_request(
             };
             let overlay = matches!(get("overlay"), Some("1") | Some("critical") | Some("true"));
             match svc.render(backend, window, width, overlay) {
-                Some((ct, body)) => (200, ct, body),
-                None => (404, "text/plain", format!("unknown backend {backend:?}\n")),
+                Some((ct, body)) => reply(200, ct, body),
+                None => reply(404, "text/plain", format!("unknown backend {backend:?}\n")),
             }
         }
-        _ => (404, "text/plain", format!("no route {path:?}\n")),
+        _ => reply(404, "text/plain", format!("no route {path:?}\n")),
     };
     // Phase boundary: a response computed past its deadline is thrown
     // away (the compute still warmed the cache for the retry).

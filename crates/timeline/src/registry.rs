@@ -281,8 +281,13 @@ impl TraceRegistry {
                 budget: self.budget,
             });
         }
+        // Removed entries are freed only after the lock is released:
+        // when the registry held the last `Arc`, dropping one frees a
+        // whole trace, and every request's `get` would wait behind it.
+        let mut removed = Vec::new();
         let replaced = if let Some(old) = inner.traces.remove(&id) {
             inner.bytes -= old.bytes;
+            removed.push(old);
             true
         } else {
             false
@@ -300,6 +305,7 @@ impl TraceRegistry {
             inner.bytes -= gone.bytes;
             inner.evictions += 1;
             evicted.push(victim);
+            removed.push(gone);
         }
         inner.traces.insert(
             id.clone(),
@@ -315,6 +321,7 @@ impl TraceRegistry {
         inner.bytes += cost;
         let bytes_now = inner.bytes;
         drop(inner);
+        drop(removed);
 
         self.uploads.inc();
         self.evictions.add(evicted.len() as u64);
@@ -562,6 +569,24 @@ mod tests {
         }
     }
 
+    type FreeProbe = Box<dyn Fn(&str)>;
+
+    thread_local! {
+        /// Called with an entry's ID when the entry is freed.
+        static ON_FREE: std::cell::RefCell<Option<FreeProbe>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    impl Drop for TraceEntry {
+        fn drop(&mut self) {
+            let _ = ON_FREE.try_with(|probe| {
+                if let Some(probe) = &*probe.borrow() {
+                    probe(&self.id);
+                }
+            });
+        }
+    }
+
     fn registry_with_budget(budget: usize) -> TraceRegistry {
         TraceRegistry::new(
             TimelineService::from_file(small_file(4)),
@@ -694,6 +719,39 @@ mod tests {
         assert!(o.bytes <= o.budget);
         // The pinned default never evicts no matter how cold.
         assert!(reg.get(None).is_some());
+    }
+
+    #[test]
+    fn removed_traces_are_freed_after_the_lock_is_released() {
+        let default_bytes = small_file(4).to_bytes().len();
+        let body = small_file(64).to_bytes();
+        let reg = Arc::new(registry_with_budget(
+            default_bytes + body.len() * 2 + body.len() / 2,
+        ));
+        reg.upload(Some("a"), &body).unwrap();
+        reg.upload(Some("b"), &body).unwrap();
+        // Record, for every freed entry, whether the registry lock was
+        // held at that moment (`try_lock` fails on a held lock, even
+        // one held by this thread).
+        let freed = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let (weak, log) = (Arc::downgrade(&reg), std::rc::Rc::clone(&freed));
+        ON_FREE.with(|p| {
+            *p.borrow_mut() = Some(Box::new(move |id: &str| {
+                let locked = weak.upgrade().is_some_and(|r| r.inner.try_lock().is_err());
+                log.borrow_mut().push((id.to_string(), locked));
+            }))
+        });
+        // Replacing `a` frees the old `a`; admitting `c` evicts `b`.
+        assert!(reg.upload(Some("a"), &body).unwrap().replaced);
+        let out = reg.upload(Some("c"), &body).unwrap();
+        assert_eq!(out.evicted, vec!["b".to_string()]);
+        reg.remove("c").unwrap();
+        ON_FREE.with(|p| p.borrow_mut().take());
+        let unlocked = |id: &str| (id.to_string(), false);
+        assert_eq!(
+            *freed.borrow(),
+            [unlocked("a"), unlocked("b"), unlocked("c")]
+        );
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! and the tile cache must be invisible — every answer byte-identical
 //! to what a brute-force scan of the raw drawable list produces.
 
+use std::sync::Arc;
+
 use mpelog::Color;
+use pilot_vis::json::Json;
 use proptest::prelude::*;
 use slog2::{
     ArrowDrawable, Category, CategoryId, CategoryKind, Drawable, EventDrawable, FrameTree,
@@ -56,6 +59,10 @@ fn arb_drawable() -> impl Strategy<Value = Drawable> {
 }
 
 fn file(ds: Vec<Drawable>) -> Slog2File {
+    named_file(ds, (0..NRANKS).map(|r| format!("P{r}")).collect())
+}
+
+fn named_file(ds: Vec<Drawable>, timelines: Vec<String>) -> Slog2File {
     let kinds = [
         ("Compute", CategoryKind::State, Color::GRAY),
         ("PI_Read", CategoryKind::State, Color::GREEN),
@@ -64,7 +71,7 @@ fn file(ds: Vec<Drawable>) -> Slog2File {
         ("message", CategoryKind::Arrow, Color::WHITE),
     ];
     Slog2File {
-        timelines: (0..NRANKS).map(|r| format!("P{r}")).collect(),
+        timelines,
         categories: kinds
             .iter()
             .enumerate()
@@ -79,6 +86,198 @@ fn file(ds: Vec<Drawable>) -> Slog2File {
         warnings: vec![],
         tree: FrameTree::build(ds, 0.0, T_MAX, 16, 12),
     }
+}
+
+/// Text that needs every kind of JSON escape: quotes, backslashes,
+/// `\n\r\t`, other control characters, and multibyte UTF-8.
+fn arb_text() -> impl Strategy<Value = String> {
+    let c = prop_oneof![
+        Just('"'),
+        Just('\\'),
+        Just('\n'),
+        Just('\r'),
+        Just('\t'),
+        Just('\u{0}'),
+        Just('\u{8}'),
+        Just('\u{1f}'),
+        Just('\u{7f}'),
+        Just('é'),
+        Just('\u{2028}'),
+        Just('🦀'),
+        (b' '..b'{').prop_map(char::from),
+    ];
+    proptest::collection::vec(c, 0..6).prop_map(|cs| cs.into_iter().collect::<String>())
+}
+
+/// A time that is sometimes integral, so both number paths run.
+fn arb_time() -> impl Strategy<Value = f64> {
+    prop_oneof![0f64..90.0, (0u32..90).prop_map(f64::from)]
+}
+
+/// Drawables with escaped texts and full-width arrow tags and sizes.
+fn arb_rich_drawable() -> impl Strategy<Value = Drawable> {
+    prop_oneof![
+        (
+            0u32..3,
+            0u32..NRANKS,
+            arb_time(),
+            0f64..8.0,
+            0u32..3,
+            arb_text()
+        )
+            .prop_map(|(cat, tl, start, dur, nest, text)| {
+                Drawable::State(StateDrawable {
+                    category: CategoryId(cat),
+                    timeline: TimelineId(tl),
+                    start,
+                    end: start + dur,
+                    nest_level: nest,
+                    text,
+                })
+            }),
+        (0u32..NRANKS, arb_time(), arb_text()).prop_map(|(tl, time, text)| {
+            Drawable::Event(EventDrawable {
+                category: CategoryId(3),
+                timeline: TimelineId(tl),
+                time,
+                text,
+            })
+        }),
+        (
+            (0u32..NRANKS, 0u32..NRANKS),
+            arb_time(),
+            0f64..8.0,
+            any::<u32>(),
+            any::<u32>()
+        )
+            .prop_map(|((from, to), start, dur, tag, size)| {
+                Drawable::Arrow(ArrowDrawable {
+                    category: CategoryId(4),
+                    from_timeline: TimelineId(from),
+                    to_timeline: TimelineId(to),
+                    start,
+                    end: start + dur,
+                    tag,
+                    size,
+                })
+            }),
+    ]
+}
+
+/// Windows that clip drawables, that cover the whole range, that reach
+/// past it, and that are infinite.
+fn arb_window() -> impl Strategy<Value = TimeWindow> {
+    prop_oneof![
+        (0f64..T_MAX, 0f64..60.0).prop_map(|(a, span)| TimeWindow::new(a, a + span)),
+        (0u32..100, 0u32..40)
+            .prop_map(|(a, span)| TimeWindow::new(f64::from(a), f64::from(a + span))),
+        Just(TimeWindow::new(0.0, T_MAX)),
+        Just(TimeWindow::new(-50.0, 2.0 * T_MAX)),
+        Just(TimeWindow::ALL),
+    ]
+}
+
+/// The detail limit the reference switches on; checked against
+/// `/v1/info`.
+const DETAIL_LIMIT: u64 = 512;
+
+/// The `/v1/query` body built as a `Json` tree per rank and printed
+/// with `compact()`: the reference the service's hand-written bytes
+/// must equal.
+fn reference_query(f: &Slog2File, w: TimeWindow, ranks: Option<&[u32]>) -> String {
+    let index = TimelineIndex::build(f);
+    let echo = TimeWindow {
+        t0: if w.t0.is_finite() { w.t0 } else { f.range.t0 },
+        t1: if w.t1.is_finite() { w.t1 } else { f.range.t1 },
+    };
+    let all: Vec<u32> = (0..index.nranks() as u32).collect();
+    let rows = ranks
+        .unwrap_or(&all)
+        .iter()
+        .map(|&r| reference_rank(f, &index, r, w))
+        .collect();
+    Json::Obj(vec![
+        (
+            "window".into(),
+            Json::Arr(vec![Json::Num(echo.t0), Json::Num(echo.t1)]),
+        ),
+        ("ranks".into(), Json::Arr(rows)),
+    ])
+    .compact()
+}
+
+fn reference_rank(f: &Slog2File, index: &TimelineIndex, rank: u32, w: TimeWindow) -> Json {
+    let arrows = index.rank_arrows(rank, w);
+    let preview = index.rank_preview(rank, w);
+    let count = preview.total_count();
+    let detail = (count <= DETAIL_LIMIT).then(|| index.rank_drawables(rank, w));
+    let name = f.timelines.get(rank as usize).cloned().unwrap_or_default();
+    let arrows: Vec<Json> = arrows
+        .into_iter()
+        .map(|a| {
+            Json::Obj(vec![
+                ("category".into(), Json::Num(f64::from(a.category.as_u32()))),
+                (
+                    "from".into(),
+                    Json::Num(f64::from(a.from_timeline.as_u32())),
+                ),
+                ("to".into(), Json::Num(f64::from(a.to_timeline.as_u32()))),
+                ("start".into(), Json::Num(a.start)),
+                ("end".into(), Json::Num(a.end)),
+                ("tag".into(), Json::Num(a.tag as f64)),
+                ("size".into(), Json::Num(a.size as f64)),
+            ])
+        })
+        .collect();
+    let mut fields = vec![
+        ("rank".into(), Json::Num(rank as f64)),
+        ("name".into(), Json::Str(name)),
+        ("count".into(), Json::Num(count as f64)),
+    ];
+    if let Some(drawables) = detail {
+        let mut states = Vec::new();
+        let mut events = Vec::new();
+        for d in drawables {
+            match d {
+                Drawable::State(s) => states.push(Json::Obj(vec![
+                    ("category".into(), Json::Num(f64::from(s.category.as_u32()))),
+                    ("start".into(), Json::Num(s.start.max(w.t0))),
+                    ("end".into(), Json::Num(s.end.min(w.t1))),
+                    ("nest".into(), Json::Num(s.nest_level as f64)),
+                    ("text".into(), Json::Str(s.text.clone())),
+                ])),
+                Drawable::Event(e) => events.push(Json::Obj(vec![
+                    ("category".into(), Json::Num(f64::from(e.category.as_u32()))),
+                    ("time".into(), Json::Num(e.time)),
+                    ("text".into(), Json::Str(e.text.clone())),
+                ])),
+                Drawable::Arrow(_) => {}
+            }
+        }
+        fields.push(("mode".into(), Json::Str("detail".into())));
+        fields.push(("states".into(), Json::Arr(states)));
+        fields.push(("events".into(), Json::Arr(events)));
+    } else {
+        fields.push(("mode".into(), Json::Str("preview".into())));
+        fields.push((
+            "preview".into(),
+            Json::Arr(
+                preview
+                    .entries
+                    .iter()
+                    .map(|e| {
+                        Json::Obj(vec![
+                            ("category".into(), Json::Num(f64::from(e.category.as_u32()))),
+                            ("count".into(), Json::Num(e.count as f64)),
+                            ("coverage".into(), Json::Num(e.coverage)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ));
+    }
+    fields.push(("arrows".into(), Json::Arr(arrows)));
+    Json::Obj(fields)
 }
 
 fn sorted_dbg(ds: &[&Drawable]) -> Vec<String> {
@@ -176,9 +375,55 @@ proptest! {
         let (status, _, body) =
             timeline::route(&app, &format!("/v1/query?t0={}&t1={}&ranks={rank}", w.t0, w.t1));
         prop_assert_eq!(status, 200);
-        prop_assert_eq!(body, svc.service.query_json(w, Some(&[rank])));
+        prop_assert_eq!(&*body, &svc.service.query_json(w, Some(&[rank])));
         let (status, _, tile) = timeline::route(&app, "/v1/tile?rank=0&zoom=3&tile=2");
         prop_assert_eq!(status, 200);
-        prop_assert_eq!(&tile, &*svc.service.tile_json(0, 3, 2).unwrap());
+        // The route answers with the cached body itself, not a copy.
+        prop_assert!(Arc::ptr_eq(&tile, &svc.service.tile_json(0, 3, 2).unwrap()));
+    }
+
+    /// `/v1/query` and `/v1/tile` bodies, written straight into one
+    /// buffer, equal the `Json` tree the service used to build — for
+    /// texts and names that need escaping, full-width integers, windows
+    /// that clip and windows that do not, detail and preview ranks, and
+    /// ranks out of range.
+    #[test]
+    fn written_bodies_equal_the_json_tree(
+        ds in proptest::collection::vec(arb_rich_drawable(), 0..120),
+        names in proptest::collection::vec(arb_text(), NRANKS as usize),
+        bulk in (0u32..NRANKS, 0usize..1500, arb_text()),
+        w in arb_window(),
+        ranks in proptest::collection::vec(0u32..NRANKS + 2, 0..5),
+        zoom in 0u8..4,
+        tile_seed in 0u32..8,
+    ) {
+        // One dense rank: more than the detail limit in wide windows.
+        let (dense, n, text) = bulk;
+        let mut ds = ds;
+        ds.extend((0..n).map(|i| {
+            Drawable::State(StateDrawable {
+                category: CategoryId(i as u32 % 3),
+                timeline: TimelineId(dense),
+                start: 90.0 * i as f64 / n as f64,
+                end: 90.0 * i as f64 / n as f64 + 0.5,
+                nest_level: 0,
+                text: text.clone(),
+            })
+        }));
+        let svc = TimelineService::from_file(named_file(ds, names));
+        let info = Json::parse(&svc.info_json()).unwrap();
+        prop_assert_eq!(info.get("detail_limit").unwrap().as_u64(), Some(DETAIL_LIMIT));
+        let f = svc.file();
+        for ranks in [None, Some(&ranks[..])] {
+            prop_assert_eq!(svc.query_json(w, ranks), reference_query(f, w, ranks));
+            let bounded = svc.query_json_bounded(w, ranks);
+            prop_assert_eq!(bounded, Some(reference_query(f, w, ranks)));
+        }
+        let tile = tile_seed % (1 << zoom);
+        let tw = svc.tile_window(zoom, tile).unwrap();
+        for rank in [dense, NRANKS] {
+            let body = svc.tile_json(rank, zoom, tile).unwrap();
+            prop_assert_eq!(&*body, &reference_query(f, tw, Some(&[rank])));
+        }
     }
 }
