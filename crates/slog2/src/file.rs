@@ -122,22 +122,22 @@ impl Slog2File {
         let capacity = r.get_u32()? as usize;
         let max_depth = r.get_u32()?;
         let range = TimeWindow::new(r.get_f64()?, r.get_f64()?);
-        let ntl = checked_count(r.get_u32()?, bytes.len())?;
+        let ntl = read_count(&mut r, "timeline", MIN_STRING_BYTES)?;
         let mut timelines = Vec::with_capacity(ntl);
         for _ in 0..ntl {
             timelines.push(r.get_str()?);
         }
-        let ncat = checked_count(r.get_u32()?, bytes.len())?;
+        let ncat = read_count(&mut r, "category", MIN_CATEGORY_BYTES)?;
         let mut categories = Vec::with_capacity(ncat);
         for _ in 0..ncat {
             categories.push(Category::decode(&mut r)?);
         }
-        let nwarn = checked_count(r.get_u32()?, bytes.len())?;
+        let nwarn = read_count(&mut r, "warning", MIN_STRING_BYTES)?;
         let mut warnings = Vec::with_capacity(nwarn);
         for _ in 0..nwarn {
             warnings.push(r.get_str()?);
         }
-        let n_nodes = checked_count(r.get_u32()?, bytes.len())?;
+        let n_nodes = read_count(&mut r, "node", DIR_ENTRY_BYTES)?;
         // Skip the directory; sequential parse doesn't need it.
         let _dir = r.get_bytes(n_nodes * 8)?;
         let mut consumed = 0usize;
@@ -225,10 +225,27 @@ impl Slog2File {
     }
 }
 
-fn checked_count(v: u32, bound: usize) -> Result<usize, WireError> {
-    let n = v as usize;
-    if n > bound {
-        return Err(WireError::Corrupt(format!("count {n} exceeds file size")));
+/// The smallest wire encoding of one element of each counted list: a
+/// string is at least its length prefix; a category its index, an
+/// empty name, its colour and its kind; a drawable an event with an
+/// empty text; a preview entry its category, count and coverage; a
+/// node at least its directory entry.
+const MIN_STRING_BYTES: usize = 4;
+const MIN_CATEGORY_BYTES: usize = 4 + MIN_STRING_BYTES + 4 + 1;
+const MIN_DRAWABLE_BYTES: usize = 1 + 4 + 4 + 8 + MIN_STRING_BYTES;
+const MIN_PREVIEW_ENTRY_BYTES: usize = 4 + 8 + 8;
+const DIR_ENTRY_BYTES: usize = 8;
+
+/// Read the count of a list of `field`s, refusing one the remaining
+/// bytes cannot hold at `min_bytes` per element — before anything
+/// reserves room for the list.
+fn read_count(r: &mut Reader<'_>, field: &str, min_bytes: usize) -> Result<usize, WireError> {
+    let n = r.get_u32()? as usize;
+    if n > r.remaining() / min_bytes {
+        return Err(WireError::Corrupt(format!(
+            "{field} count {n} exceeds the {} bytes left",
+            r.remaining()
+        )));
     }
     Ok(n)
 }
@@ -331,18 +348,12 @@ fn decode_one_node(r: &mut Reader<'_>) -> Result<(FrameNode, bool), WireError> {
     let t1 = r.get_f64()?;
     let depth = r.get_u32()?;
     let has_children = r.get_u8()? != 0;
-    let nd = r.get_u32()? as usize;
-    if nd > r.remaining() {
-        return Err(WireError::Corrupt("drawable count".into()));
-    }
+    let nd = read_count(r, "drawable", MIN_DRAWABLE_BYTES)?;
     let mut drawables = Vec::with_capacity(nd);
     for _ in 0..nd {
         drawables.push(Drawable::decode(r)?);
     }
-    let np = r.get_u32()? as usize;
-    if np > r.remaining() {
-        return Err(WireError::Corrupt("preview count".into()));
-    }
+    let np = read_count(r, "preview", MIN_PREVIEW_ENTRY_BYTES)?;
     let mut entries = Vec::with_capacity(np);
     for _ in 0..np {
         entries.push(PreviewEntry {
@@ -458,6 +469,97 @@ mod tests {
         // Cut at a spread of positions; parsing must error, never panic.
         for cut in (0..bytes.len()).step_by(97) {
             assert!(Slog2File::from_bytes(&bytes[..cut]).is_err(), "cut={cut}");
+        }
+    }
+
+    #[test]
+    fn minimum_element_sizes_match_the_encoders() {
+        let mut w = Writer::new();
+        w.put_str("");
+        assert_eq!(w.len(), MIN_STRING_BYTES);
+        let mut w = Writer::new();
+        Category {
+            index: CategoryId(0),
+            name: String::new(),
+            color: Color::RED,
+            kind: CategoryKind::State,
+        }
+        .encode(&mut w);
+        assert_eq!(w.len(), MIN_CATEGORY_BYTES);
+        let event = Drawable::Event(EventDrawable {
+            category: CategoryId(0),
+            timeline: TimelineId(0),
+            time: 0.0,
+            text: String::new(),
+        });
+        let mut w = Writer::new();
+        event.encode(&mut w);
+        assert_eq!(w.len(), MIN_DRAWABLE_BYTES);
+        let one = Preview {
+            entries: vec![PreviewEntry {
+                category: CategoryId(0),
+                count: 1,
+                coverage: 0.0,
+            }],
+        };
+        assert_eq!(
+            preview_bytes(&one) - preview_bytes(&Preview::default()),
+            MIN_PREVIEW_ENTRY_BYTES as u64
+        );
+    }
+
+    /// An image whose header declares the counts in `header`, then, if
+    /// `node` is given, one node whose frame declares the counts in it;
+    /// then the count under test, one above what the `ZEROS` trailing
+    /// zero bytes hold at `min_bytes` per element; then those zeros.
+    fn inflated(header: &[u32], node: Option<&[u32]>, min_bytes: usize) -> Vec<u8> {
+        const ZEROS: usize = 4096;
+        let mut w = Writer::new();
+        w.put_bytes(MAGIC);
+        w.put_u32(4);
+        w.put_u32(8);
+        w.put_f64(0.0);
+        w.put_f64(1.0);
+        for &n in header {
+            w.put_u32(n);
+        }
+        if let Some(counts) = node {
+            w.put_u64(w.len() as u64 + 8);
+            w.put_f64(0.0);
+            w.put_f64(1.0);
+            w.put_u32(0);
+            w.put_u8(0);
+            for &n in counts {
+                w.put_u32(n);
+            }
+        }
+        w.put_u32((ZEROS / min_bytes + 1) as u32);
+        w.put_bytes(&[0; ZEROS]);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn counts_the_remaining_bytes_cannot_hold_are_refused() {
+        let one_node = [0, 0, 0, 1];
+        for (field, image) in [
+            ("timeline", inflated(&[], None, MIN_STRING_BYTES)),
+            ("category", inflated(&[0], None, MIN_CATEGORY_BYTES)),
+            ("warning", inflated(&[0, 0], None, MIN_STRING_BYTES)),
+            (
+                "drawable",
+                inflated(&one_node, Some(&[]), MIN_DRAWABLE_BYTES),
+            ),
+            (
+                "preview",
+                inflated(&one_node, Some(&[0]), MIN_PREVIEW_ENTRY_BYTES),
+            ),
+        ] {
+            match Slog2File::from_bytes(&image) {
+                Err(WireError::Corrupt(m)) => {
+                    assert!(m.starts_with(&format!("{field} count ")), "{field}: {m}")
+                }
+                other => panic!("{field}: {other:?}"),
+            }
         }
     }
 

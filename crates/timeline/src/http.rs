@@ -425,7 +425,8 @@ fn handle_connection(
     let mut writer = write_half;
     // The pool-queue wait belongs to the connection's first request;
     // keep-alive successors never waited in the accept queue.
-    let mut queue_wait = Some(Instant::now().saturating_duration_since(enqueued));
+    let dequeued = Instant::now();
+    let mut queue_wait = Some(dequeued.saturating_duration_since(enqueued));
     // Line buffers live across requests: keep-alive connections serve
     // hundreds of requests, and per-line String churn is measurable in
     // the serve bench.
@@ -467,14 +468,16 @@ fn handle_connection(
             }
         }
         // The request clock: for the first request it started back at
-        // the accept queue (so queue wait is inside the total); for
-        // later keep-alive requests it starts once the request line is
-        // in (client think time must not count).
-        let parse_start = Instant::now();
-        let req_start = if queue_wait.is_some() {
-            enqueued
+        // the accept queue (so queue wait is inside the total), and its
+        // parse phase starts at dequeue, so the wait for its request
+        // line is parse time and the phases tile the request; for later
+        // keep-alive requests both start once the request line is in
+        // (client think time must not count).
+        let (req_start, parse_start) = if queue_wait.is_some() {
+            (enqueued, dequeued)
         } else {
-            parse_start
+            let now = Instant::now();
+            (now, now)
         };
         let mut close = false;
         let mut trace_header: Option<String> = None;
@@ -748,9 +751,9 @@ pub fn route_request(app: &App, method: &str, target: &str, body: &[u8]) -> Repl
             fields.extend(app.registry().stats_fields());
             reply(200, "application/json", Json::Obj(fields).compact())
         }
-        "/v1/diagnose" => reply(200, "application/json", svc.diagnose_json()),
+        "/v1/diagnose" => (200, "application/json", svc.diagnose_json()),
         "/v1/diff" => match svc.diff_json() {
-            Some(body) => reply(200, "application/json", body),
+            Some(body) => (200, "application/json", body),
             None => reply(
                 404,
                 "text/plain",
@@ -1076,9 +1079,9 @@ mod tests {
         assert_eq!(ct, "application/json");
         let v = pilot_vis::json::Json::parse(&body).unwrap();
         assert!(v.get("verdicts").is_some(), "{body}");
-        // Cached: the second call returns the identical string.
+        // Cached: the second request is answered with the same buffer.
         let (_, _, again) = route(&app, "/v1/diagnose");
-        assert_eq!(body, again);
+        assert!(Arc::ptr_eq(&body, &again));
     }
 
     #[test]
@@ -1108,9 +1111,9 @@ mod tests {
                 .and_then(pilot_vis::json::Json::as_str),
             Some("baseline.pslog2")
         );
-        // Cached: byte-identical on repeat.
+        // Cached: the second request is answered with the same buffer.
         let (_, _, again) = route(&app, "/v1/diff");
-        assert_eq!(body, again);
+        assert!(Arc::ptr_eq(&body, &again));
     }
 
     #[test]

@@ -5,10 +5,13 @@
 //! drawables in the window. This index is built once at load: each
 //! rank's states and events get their own frame tree, and arrows (which
 //! belong to two ranks) live in one shared tree filtered per query.
+//! Each node of the arrow tree also gets its subtree's arrows aggregated
+//! per `(from, to)` pair, so a rank's arrows over a wide window are
+//! counted and aggregated from a few nodes instead of listed.
 //! The index never mutates after construction, so the query service can
 //! share it across worker threads with no locking.
 
-use slog2::{ArrowDrawable, Drawable, FrameTree, Preview, Slog2File, TimeWindow};
+use slog2::{ArrowDrawable, Drawable, FrameNode, FrameTree, Preview, Slog2File, TimeWindow};
 
 /// Frame capacity and depth limit of the per-rank trees: the
 /// converter's defaults, so a rank's tree splits like the file's.
@@ -22,11 +25,140 @@ pub struct TimelineIndex {
     ranks: Vec<FrameTree>,
     /// All message arrows, shared across ranks.
     arrows: FrameTree,
+    /// Per-pair aggregates of `arrows`, node for node.
+    pairs: PairNode,
+}
+
+/// Which way an arrow points, seen from the rank whose row it is in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum ArrowDir {
+    /// The rank receives.
+    In,
+    /// The rank sends. A self-message counts once, here.
+    Out,
+}
+
+impl ArrowDir {
+    /// The wire name: `"in"` or `"out"`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            ArrowDir::In => "in",
+            ArrowDir::Out => "out",
+        }
+    }
+}
+
+/// Some arrows, aggregated. Every field is an integer, an integer sum,
+/// or a min or max, so an aggregate does not depend on the order its
+/// arrows are merged in.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ArrowAgg {
+    /// Number of arrows.
+    pub count: u64,
+    /// Summed message sizes.
+    pub bytes: u64,
+    /// Earliest start, normalized like [`Drawable::start`].
+    pub start: f64,
+    /// Latest end, normalized like [`Drawable::end`].
+    pub end: f64,
+}
+
+impl ArrowAgg {
+    fn of(a: &ArrowDrawable) -> ArrowAgg {
+        ArrowAgg {
+            count: 1,
+            bytes: u64::from(a.size),
+            start: a.start.min(a.end),
+            end: a.end.max(a.start),
+        }
+    }
+
+    fn merge(&mut self, other: &ArrowAgg) {
+        self.count += other.count;
+        self.bytes += other.bytes;
+        self.start = self.start.min(other.start);
+        self.end = self.end.max(other.end);
+    }
+}
+
+/// One (peer, direction)'s share of a rank's arrows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PeerArrows {
+    /// The rank at the arrows' other end.
+    pub peer: u32,
+    /// Whether the row's rank sends or receives them.
+    pub dir: ArrowDir,
+    /// The aggregate, its times clipped to the window.
+    pub agg: ArrowAgg,
+}
+
+/// A rank's arrows over a window, one aggregate per (peer, direction),
+/// sorted by peer, then direction.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ArrowPreview {
+    /// The aggregates.
+    pub entries: Vec<PeerArrows>,
+}
+
+impl ArrowPreview {
+    /// Number of arrows aggregated.
+    pub fn total_count(&self) -> u64 {
+        self.entries.iter().map(|e| e.agg.count).sum()
+    }
+
+    fn add(&mut self, peer: u32, dir: ArrowDir, agg: &ArrowAgg) {
+        match self
+            .entries
+            .binary_search_by_key(&(peer, dir), |e| (e.peer, e.dir))
+        {
+            Ok(i) => self.entries[i].agg.merge(agg),
+            Err(i) => self.entries.insert(
+                i,
+                PeerArrows {
+                    peer,
+                    dir,
+                    agg: *agg,
+                },
+            ),
+        }
+    }
+
+    /// Add one pair's arrows if rank `rank` is an endpoint.
+    fn add_pair(&mut self, rank: u32, from: u32, to: u32, agg: &ArrowAgg) {
+        if from == rank {
+            self.add(to, ArrowDir::Out, agg);
+        } else if to == rank {
+            self.add(from, ArrowDir::In, agg);
+        }
+    }
+}
+
+/// The arrows from one rank to another, aggregated.
+#[derive(Debug, Clone, Copy)]
+struct Pair {
+    from: u32,
+    to: u32,
+    agg: ArrowAgg,
+}
+
+/// One arrow-tree node's `(from, to)` aggregates over its whole
+/// subtree, with children shaped like the node's.
+#[derive(Debug)]
+struct PairNode {
+    /// Sorted by `(from, to)`. `None` where the pairs would not
+    /// compress the subtree's arrows at least as many times as the tree
+    /// has levels: each level's nodes then keep at most `arrows /
+    /// levels` pairs between them, so the whole tree keeps at most one
+    /// pair per arrow whatever the traffic pattern. A query scans such
+    /// a node's own arrows and descends instead.
+    pairs: Option<Box<[Pair]>>,
+    children: Option<Box<(PairNode, PairNode)>>,
 }
 
 impl TimelineIndex {
     /// Build the index by scanning `file` once. The trees are built from
-    /// the file's drawables by reference, one rank at a time.
+    /// the file's drawables by reference, one rank at a time; the pair
+    /// aggregates are one bottom-up pass over the arrow tree.
     pub fn build(file: &Slog2File) -> TimelineIndex {
         let mut per_rank: Vec<Vec<&Drawable>> = vec![Vec::new(); file.timelines.len()];
         let mut arrows = Vec::new();
@@ -47,9 +179,12 @@ impl TimelineIndex {
         let tree = |ds: Vec<&Drawable>| {
             FrameTree::build(ds, w.t0, w.t1, RANK_FRAME_CAPACITY, RANK_MAX_DEPTH)
         };
+        let arrows = tree(arrows);
+        let levels = u64::from(arrows.depth()) + 1;
         TimelineIndex {
             ranks: per_rank.into_iter().map(tree).collect(),
-            arrows: tree(arrows),
+            pairs: pair_node(&arrows.root, levels, &mut Vec::new()),
+            arrows,
         }
     }
 
@@ -95,6 +230,21 @@ impl TimelineIndex {
             .collect()
     }
 
+    /// Rank `r`'s arrows overlapping `w`, aggregated per (peer,
+    /// direction), with times clipped to `w`. Nodes wholly inside `w`
+    /// contribute their pair aggregates; only the nodes on the window's
+    /// edges are scanned. Its total count is the number of arrows
+    /// [`rank_arrows`](Self::rank_arrows) returns.
+    pub fn rank_arrow_preview(&self, rank: u32, w: TimeWindow) -> ArrowPreview {
+        let mut p = ArrowPreview::default();
+        arrow_preview_node(&self.arrows.root, &self.pairs, rank, w, &mut p);
+        for e in &mut p.entries {
+            e.agg.start = e.agg.start.max(w.t0);
+            e.agg.end = e.agg.end.min(w.t1);
+        }
+        p
+    }
+
     /// Every rank's drawables overlapping `w`, then the arrows.
     pub fn drawables_in(&self, w: TimeWindow) -> Vec<&Drawable> {
         let mut out = Vec::new();
@@ -113,6 +263,79 @@ impl TimelineIndex {
         }
         p.merge(&self.arrows.window_preview(w));
         p
+    }
+}
+
+/// Aggregate `node`'s subtree per `(from, to)`: its children's pairs
+/// and its own arrows, appended to `scratch`, sorted and merged in
+/// place. On return `scratch` holds the subtree's pairs after what it
+/// held on entry.
+fn pair_node(node: &FrameNode, levels: u64, scratch: &mut Vec<Pair>) -> PairNode {
+    let base = scratch.len();
+    let children = node.children.as_ref().map(|ch| {
+        let left = pair_node(&ch.0, levels, scratch);
+        let right = pair_node(&ch.1, levels, scratch);
+        Box::new((left, right))
+    });
+    scratch.extend(node.drawables.iter().filter_map(|d| match d {
+        Drawable::Arrow(a) => Some(Pair {
+            from: a.from_timeline.as_u32(),
+            to: a.to_timeline.as_u32(),
+            agg: ArrowAgg::of(a),
+        }),
+        _ => None,
+    }));
+    let subtree = &mut scratch[base..];
+    subtree.sort_unstable_by_key(|p| (p.from, p.to));
+    let mut len = 0;
+    for i in 0..subtree.len() {
+        let p = subtree[i];
+        if len > 0 && (subtree[len - 1].from, subtree[len - 1].to) == (p.from, p.to) {
+            subtree[len - 1].agg.merge(&p.agg);
+        } else {
+            subtree[len] = p;
+            len += 1;
+        }
+    }
+    scratch.truncate(base + len);
+    let pairs = &scratch[base..];
+    let count: u64 = pairs.iter().map(|p| p.agg.count).sum();
+    PairNode {
+        pairs: (pairs.len() as u64 * levels <= count).then(|| pairs.into()),
+        children,
+    }
+}
+
+fn arrow_preview_node(
+    node: &FrameNode,
+    pairs: &PairNode,
+    rank: u32,
+    w: TimeWindow,
+    acc: &mut ArrowPreview,
+) {
+    if node.t0 > w.t1 || node.t1 < w.t0 {
+        return;
+    }
+    if let Some(kept) = &pairs.pairs {
+        if w.contains_window(TimeWindow::new(node.t0, node.t1)) {
+            // Entire subtree inside the window: use its pair aggregates.
+            for p in kept.iter() {
+                acc.add_pair(rank, p.from, p.to, &p.agg);
+            }
+            return;
+        }
+    }
+    for d in &node.drawables {
+        if let Drawable::Arrow(a) = d {
+            if w.overlaps(d) {
+                let (from, to) = (a.from_timeline.as_u32(), a.to_timeline.as_u32());
+                acc.add_pair(rank, from, to, &ArrowAgg::of(a));
+            }
+        }
+    }
+    if let (Some(ch), Some(pch)) = (&node.children, &pairs.children) {
+        arrow_preview_node(&ch.0, &pch.0, rank, w, acc);
+        arrow_preview_node(&ch.1, &pch.1, rank, w, acc);
     }
 }
 
@@ -233,5 +456,91 @@ mod tests {
         let idx = TimelineIndex::build(&file());
         assert!(idx.rank_drawables(99, TimeWindow::ALL).is_empty());
         assert!(idx.rank_preview(99, TimeWindow::ALL).entries.is_empty());
+        assert!(idx
+            .rank_arrow_preview(99, TimeWindow::ALL)
+            .entries
+            .is_empty());
+    }
+
+    #[test]
+    fn arrow_preview_aggregates_per_peer_and_clips() {
+        let idx = TimelineIndex::build(&file());
+        let one = |peer, dir, start, end| PeerArrows {
+            peer,
+            dir,
+            agg: ArrowAgg {
+                count: 1,
+                bytes: 8,
+                start,
+                end,
+            },
+        };
+        // The file's one arrow: 0 → 2 over [1.0, 1.5], 8 bytes.
+        let sender = idx.rank_arrow_preview(0, TimeWindow::ALL);
+        assert_eq!(sender.entries, [one(2, ArrowDir::Out, 1.0, 1.5)]);
+        let receiver = idx.rank_arrow_preview(2, TimeWindow::new(1.2, 4.0));
+        assert_eq!(receiver.entries, [one(0, ArrowDir::In, 1.2, 1.5)]);
+        assert_eq!(idx.rank_arrow_preview(1, TimeWindow::ALL).total_count(), 0);
+        assert_eq!(
+            idx.rank_arrow_preview(0, TimeWindow::new(3.0, 4.0))
+                .total_count(),
+            0
+        );
+    }
+
+    /// `n` arrows among 64 ranks whose `(from, to)` pairs cycle through
+    /// `pairs` distinct values.
+    fn arrow_file(n: u32, pairs: u32) -> Slog2File {
+        let ds: Vec<Drawable> = (0..n)
+            .map(|i| {
+                let p = i % pairs;
+                Drawable::Arrow(ArrowDrawable {
+                    category: CategoryId(0),
+                    from_timeline: TimelineId(p % 64),
+                    to_timeline: TimelineId(p / 64),
+                    start: f64::from(i) / 10.0,
+                    end: f64::from(i) / 10.0 + 0.05,
+                    tag: 0,
+                    size: i,
+                })
+            })
+            .collect();
+        let range = TimeWindow::new(0.0, f64::from(n) / 10.0);
+        Slog2File {
+            timelines: (0..64).map(|r| format!("P{r}")).collect(),
+            categories: vec![],
+            range,
+            warnings: vec![],
+            tree: FrameTree::build(ds, range.t0, range.t1, 64, 16),
+        }
+    }
+
+    fn kept_pairs(node: &PairNode) -> usize {
+        node.pairs.as_ref().map_or(0, |p| p.len())
+            + node
+                .children
+                .as_ref()
+                .map_or(0, |ch| kept_pairs(&ch.0) + kept_pairs(&ch.1))
+    }
+
+    #[test]
+    fn kept_pairs_never_outnumber_arrows() {
+        for (n, pairs) in [(4000, 4000), (4000, 300), (4000, 3)] {
+            let idx = TimelineIndex::build(&arrow_file(n, pairs));
+            let kept = kept_pairs(&idx.pairs);
+            assert!(kept <= n as usize, "{pairs} pairs: kept {kept}");
+            // A few pairs compress the root; all-distinct pairs never do.
+            assert_eq!(idx.pairs.pairs.is_some(), pairs < 4000, "{pairs} pairs");
+            for rank in [0, 1, 2, 63] {
+                for w in [
+                    TimeWindow::ALL,
+                    TimeWindow::new(10.0, 300.0),
+                    TimeWindow::new(12.34, 12.36),
+                ] {
+                    let p = idx.rank_arrow_preview(rank, w);
+                    assert_eq!(p.total_count() as usize, idx.rank_arrows(rank, w).len());
+                }
+            }
+        }
     }
 }

@@ -9,7 +9,8 @@
 //! sockets and threads only.
 //!
 //! - [`index`] — immutable per-rank interval index ([`TimelineIndex`]),
-//!   one frame tree per rank plus a shared arrow tree.
+//!   one frame tree per rank plus a shared arrow tree whose nodes
+//!   aggregate their arrows per `(from, to)` pair.
 //! - [`cache`] — sharded LRU tile cache ([`TileCache`]) keyed by
 //!   (file digest, rank, zoom, tile), two-phase single-flight on
 //!   misses (compute happens outside the shard lock).

@@ -33,7 +33,8 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use mpelog::Clog2File;
@@ -179,6 +180,53 @@ pub struct TraceRegistry {
     rejects: Counter,
     evictions: Counter,
     bytes_gauge: Gauge,
+    reaper: Reaper,
+}
+
+/// The registry's one long-lived thread that frees replaced, evicted
+/// and deleted traces. When the registry held the last `Arc`, freeing
+/// an entry frees a whole trace (file, index, cached tiles), which
+/// would otherwise sit inside the latency of the upload or delete that
+/// removed it. Dropping the reaper closes its channel and waits for
+/// every queued free.
+struct Reaper {
+    queue: Option<mpsc::Sender<Vec<Arc<TraceEntry>>>>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Reaper {
+    fn spawn() -> Reaper {
+        let (queue, removed) = mpsc::channel::<Vec<Arc<TraceEntry>>>();
+        let thread = std::thread::Builder::new()
+            .name("trace-reaper".into())
+            .spawn(move || removed.into_iter().for_each(drop))
+            .expect("spawn the trace registry's reaper thread");
+        Reaper {
+            queue: Some(queue),
+            thread: Some(thread),
+        }
+    }
+
+    /// Queue `removed` to be freed on the reaper thread.
+    fn free(&self, removed: Vec<Arc<TraceEntry>>) {
+        if removed.is_empty() {
+            return;
+        }
+        if let Some(queue) = &self.queue {
+            // A send fails only if the thread died; the entries are then
+            // freed here, as the error drops them.
+            let _ = queue.send(removed);
+        }
+    }
+}
+
+impl Drop for Reaper {
+    fn drop(&mut self) {
+        drop(self.queue.take());
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
 }
 
 impl TraceRegistry {
@@ -199,6 +247,7 @@ impl TraceRegistry {
             evictions: shard.counter("serve.registry.evictions"),
             bytes_gauge: shard.gauge("serve.registry.bytes"),
             obs,
+            reaper: Reaper::spawn(),
         };
         {
             let mut inner = reg.inner.lock().expect("registry poisoned");
@@ -281,9 +330,10 @@ impl TraceRegistry {
                 budget: self.budget,
             });
         }
-        // Removed entries are freed only after the lock is released:
-        // when the registry held the last `Arc`, dropping one frees a
-        // whole trace, and every request's `get` would wait behind it.
+        // Removed entries are freed on the reaper thread, after the lock
+        // is released: when the registry held the last `Arc`, dropping
+        // one frees a whole trace, and neither this upload nor any
+        // request's `get` should wait behind it.
         let mut removed = Vec::new();
         let replaced = if let Some(old) = inner.traces.remove(&id) {
             inner.bytes -= old.bytes;
@@ -321,7 +371,7 @@ impl TraceRegistry {
         inner.bytes += cost;
         let bytes_now = inner.bytes;
         drop(inner);
-        drop(removed);
+        self.reaper.free(removed);
 
         self.uploads.inc();
         self.evictions.add(evicted.len() as u64);
@@ -348,6 +398,7 @@ impl TraceRegistry {
         inner.bytes -= gone.bytes;
         let bytes_now = inner.bytes;
         drop(inner);
+        self.reaper.free(vec![gone]);
         self.bytes_gauge.set(bytes_now as i64);
         Ok(())
     }
@@ -569,21 +620,29 @@ mod tests {
         }
     }
 
-    type FreeProbe = Box<dyn Fn(&str)>;
+    type FreeProbe = Arc<dyn Fn(&str) + Send + Sync>;
 
-    thread_local! {
-        /// Called with an entry's ID when the entry is freed.
-        static ON_FREE: std::cell::RefCell<Option<FreeProbe>> =
-            const { std::cell::RefCell::new(None) };
+    /// Probes called, on whichever thread frees the entry, with the ID
+    /// of a freed entry. Keyed by entry ID: a test that installs one
+    /// uses IDs no other test uploads.
+    static ON_FREE: Mutex<BTreeMap<String, FreeProbe>> = Mutex::new(BTreeMap::new());
+
+    fn on_free(id: &str, probe: Option<FreeProbe>) {
+        let mut probes = ON_FREE.lock().unwrap_or_else(|e| e.into_inner());
+        match probe {
+            Some(p) => probes.insert(id.to_string(), p),
+            None => probes.remove(id),
+        };
     }
 
     impl Drop for TraceEntry {
         fn drop(&mut self) {
-            let _ = ON_FREE.try_with(|probe| {
-                if let Some(probe) = &*probe.borrow() {
-                    probe(&self.id);
-                }
-            });
+            let probes = ON_FREE.lock().unwrap_or_else(|e| e.into_inner());
+            let probe = probes.get(&self.id).cloned();
+            drop(probes);
+            if let Some(probe) = probe {
+                probe(&self.id);
+            }
         }
     }
 
@@ -728,30 +787,98 @@ mod tests {
         let reg = Arc::new(registry_with_budget(
             default_bytes + body.len() * 2 + body.len() / 2,
         ));
-        reg.upload(Some("a"), &body).unwrap();
-        reg.upload(Some("b"), &body).unwrap();
+        reg.upload(Some("freed-a"), &body).unwrap();
+        reg.upload(Some("freed-b"), &body).unwrap();
         // Record, for every freed entry, whether the registry lock was
         // held at that moment (`try_lock` fails on a held lock, even
-        // one held by this thread).
-        let freed = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let (weak, log) = (Arc::downgrade(&reg), std::rc::Rc::clone(&freed));
-        ON_FREE.with(|p| {
-            *p.borrow_mut() = Some(Box::new(move |id: &str| {
-                let locked = weak.upgrade().is_some_and(|r| r.inner.try_lock().is_err());
-                log.borrow_mut().push((id.to_string(), locked));
-            }))
+        // one held by the freeing thread). Each free is awaited before
+        // the next call, so no other thread holds the lock meanwhile.
+        let (weak, (log, freed)) = (Arc::downgrade(&reg), mpsc::channel());
+        let log = Mutex::new(log);
+        let probe: FreeProbe = Arc::new(move |id: &str| {
+            let locked = weak.upgrade().is_some_and(|r| r.inner.try_lock().is_err());
+            let _ = log.lock().unwrap().send((id.to_string(), locked));
         });
+        for id in ["freed-a", "freed-b", "freed-c"] {
+            on_free(id, Some(Arc::clone(&probe)));
+        }
         // Replacing `a` frees the old `a`; admitting `c` evicts `b`.
-        assert!(reg.upload(Some("a"), &body).unwrap().replaced);
-        let out = reg.upload(Some("c"), &body).unwrap();
-        assert_eq!(out.evicted, vec!["b".to_string()]);
-        reg.remove("c").unwrap();
-        ON_FREE.with(|p| p.borrow_mut().take());
+        assert!(reg.upload(Some("freed-a"), &body).unwrap().replaced);
+        let a = freed.recv().unwrap();
+        let out = reg.upload(Some("freed-c"), &body).unwrap();
+        assert_eq!(out.evicted, vec!["freed-b".to_string()]);
+        let b = freed.recv().unwrap();
+        reg.remove("freed-c").unwrap();
+        let c = freed.recv().unwrap();
+        for id in ["freed-a", "freed-b", "freed-c"] {
+            on_free(id, None);
+        }
         let unlocked = |id: &str| (id.to_string(), false);
         assert_eq!(
-            *freed.borrow(),
-            [unlocked("a"), unlocked("b"), unlocked("c")]
+            [a, b, c],
+            [
+                unlocked("freed-a"),
+                unlocked("freed-b"),
+                unlocked("freed-c")
+            ]
         );
+    }
+
+    #[test]
+    fn uploads_return_before_the_traces_they_evict_are_freed() {
+        let default_bytes = small_file(4).to_bytes().len();
+        let body = small_file(64).to_bytes();
+        // Room for the default and one upload.
+        let reg = Arc::new(registry_with_budget(
+            default_bytes + body.len() + body.len() / 2,
+        ));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        // Freeing `held-a` reports its thread, then blocks until the
+        // test releases it (a dropped sender releases it too).
+        let (started_tx, started) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel::<()>();
+        let (started_tx, release_rx) = (Mutex::new(started_tx), Mutex::new(release_rx));
+        let held_log = Arc::clone(&log);
+        on_free(
+            "held-a",
+            Some(Arc::new(move |id: &str| {
+                let _ = started_tx.lock().unwrap().send(std::thread::current().id());
+                let _ = release_rx.lock().unwrap().recv();
+                held_log.lock().unwrap().push(id.to_string());
+            })),
+        );
+        let free_log = Arc::clone(&log);
+        on_free(
+            "held-b",
+            Some(Arc::new(move |id: &str| {
+                free_log.lock().unwrap().push(id.to_string())
+            })),
+        );
+
+        reg.upload(Some("held-a"), &body).unwrap();
+        // Admitting `held-b` evicts `held-a`.
+        let uploader = {
+            let (reg, body) = (Arc::clone(&reg), body.clone());
+            std::thread::spawn(move || reg.upload(Some("held-b"), &body).unwrap())
+        };
+        let freer = started.recv().unwrap();
+        assert_ne!(
+            freer,
+            uploader.thread().id(),
+            "the uploading thread must not free what it evicts"
+        );
+        // The upload returns while the free is still blocked.
+        let out = uploader.join().unwrap();
+        assert_eq!(out.evicted, vec!["held-a".to_string()]);
+        assert!(log.lock().unwrap().is_empty());
+        // `held-b` queues behind the blocked free; dropping the
+        // registry waits for both.
+        reg.remove("held-b").unwrap();
+        release.send(()).unwrap();
+        drop(Arc::into_inner(reg).expect("the uploader is done"));
+        on_free("held-a", None);
+        on_free("held-b", None);
+        assert_eq!(*log.lock().unwrap(), ["held-a", "held-b"]);
     }
 
     #[test]

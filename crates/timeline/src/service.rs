@@ -9,7 +9,7 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use analysis::TraceAnalyzer;
 use jumpshot::{renderer_by_name, PathOverlay, RenderOptions};
@@ -42,7 +42,7 @@ pub struct TimelineService {
     obs: ObsHandle,
     digest: u64,
     queries: AtomicU64,
-    diagnosis: OnceLock<String>,
+    diagnosis: OnceLock<Arc<String>>,
     baseline: Option<Baseline>,
     /// Test-only: stretch every tile compute by this much (under the
     /// `render` phase) so integration tests can force a slow request
@@ -56,7 +56,7 @@ pub struct TimelineService {
 struct Baseline {
     file: Slog2File,
     label: String,
-    diff: OnceLock<String>,
+    diff: OnceLock<Arc<String>>,
 }
 
 impl TimelineService {
@@ -131,15 +131,14 @@ impl TimelineService {
 
     /// `/v1/diff` — the baseline-vs-served comparison in `DIFF.json`
     /// form. `None` when no baseline is registered; otherwise computed
-    /// once and served from cache.
-    pub fn diff_json(&self) -> Option<&str> {
+    /// once and served from cache, as one shared buffer.
+    pub fn diff_json(&self) -> Option<Arc<String>> {
         self.count_query();
         let b = self.baseline.as_ref()?;
-        Some(
-            b.diff.get_or_init(|| {
-                diff::diff_traces(&b.file, &self.file, (&b.label, "served")).to_json()
-            }),
-        )
+        let diff = b.diff.get_or_init(|| {
+            Arc::new(diff::diff_traces(&b.file, &self.file, (&b.label, "served")).to_json())
+        });
+        Some(Arc::clone(diff))
     }
 
     /// The loaded file.
@@ -261,9 +260,11 @@ impl TimelineService {
     }
 
     /// `/v1/query` — the window query: per requested rank, either full
-    /// detail (every state/event/arrow overlapping the window) or, past
-    /// the detail limit (512 drawables), the preview aggregate the frame
-    /// tree keeps per node — the zoomed-out colour-stripe data.
+    /// detail (every state/event overlapping the window) or, past the
+    /// detail limit (512 drawables), the preview aggregate the frame
+    /// tree keeps per node — the zoomed-out colour-stripe data. Arrows
+    /// switch on the same limit: every arrow touching the rank, or past
+    /// 512 of them one aggregate per peer and direction.
     pub fn query_json(&self, w: TimeWindow, ranks: Option<&[u32]>) -> String {
         self.query_json_impl(w, ranks, false)
             .expect("unbounded query never aborts")
@@ -327,8 +328,11 @@ impl TimelineService {
     fn rank_json(&self, out: &mut String, first: bool, rank: u32, w: TimeWindow) {
         // Index phase: every interval-index scan for this rank.
         let index_phase = PhaseTimer::start(Phase::Index);
-        let arrows = self.index.rank_arrows(rank, w);
-        // The preview counts exactly the drawables a detail query returns.
+        // Each count is exactly the number of items a detail query
+        // returns, so each list is queried only at or under the limit.
+        let arrow_preview = self.index.rank_arrow_preview(rank, w);
+        let arrows =
+            (arrow_preview.total_count() <= DETAIL_LIMIT).then(|| self.index.rank_arrows(rank, w));
         let preview = self.index.rank_preview(rank, w);
         let count = preview.total_count();
         let detail = (count <= DETAIL_LIMIT).then(|| self.index.rank_drawables(rank, w));
@@ -389,19 +393,35 @@ impl TimelineService {
                 out.push('}');
             }
         }
-        out.push_str("],\"arrows\":[");
         let mut sep = "";
-        for a in &arrows {
-            out.push_str(sep);
-            sep = ",";
-            num(out, "{\"category\":", f64::from(a.category.as_u32()));
-            num(out, ",\"from\":", f64::from(a.from_timeline.as_u32()));
-            num(out, ",\"to\":", f64::from(a.to_timeline.as_u32()));
-            num(out, ",\"start\":", a.start);
-            num(out, ",\"end\":", a.end);
-            num(out, ",\"tag\":", f64::from(a.tag));
-            num(out, ",\"size\":", f64::from(a.size));
-            out.push('}');
+        if let Some(arrows) = arrows {
+            out.push_str("],\"arrows\":[");
+            for a in &arrows {
+                out.push_str(sep);
+                sep = ",";
+                num(out, "{\"category\":", f64::from(a.category.as_u32()));
+                num(out, ",\"from\":", f64::from(a.from_timeline.as_u32()));
+                num(out, ",\"to\":", f64::from(a.to_timeline.as_u32()));
+                num(out, ",\"start\":", a.start);
+                num(out, ",\"end\":", a.end);
+                num(out, ",\"tag\":", f64::from(a.tag));
+                num(out, ",\"size\":", f64::from(a.size));
+                out.push('}');
+            }
+        } else {
+            out.push_str("],\"arrow_mode\":\"preview\",\"arrow_preview\":[");
+            for e in &arrow_preview.entries {
+                out.push_str(sep);
+                sep = ",";
+                num(out, "{\"peer\":", f64::from(e.peer));
+                out.push_str(",\"dir\":\"");
+                out.push_str(e.dir.as_str());
+                num(out, "\",\"count\":", e.agg.count as f64);
+                num(out, ",\"bytes\":", e.agg.bytes as f64);
+                num(out, ",\"start\":", e.agg.start);
+                num(out, ",\"end\":", e.agg.end);
+                out.push('}');
+            }
         }
         out.push_str("]}");
     }
@@ -409,7 +429,7 @@ impl TimelineService {
     /// `/v1/tile` — the cached form of [`query_json`](Self::query_json)
     /// for one rank over one tile of the zoom pyramid. `None` when the
     /// zoom or tile number is out of range.
-    pub fn tile_json(&self, rank: u32, zoom: u8, tile: u32) -> Option<std::sync::Arc<String>> {
+    pub fn tile_json(&self, rank: u32, zoom: u8, tile: u32) -> Option<Arc<String>> {
         let w = self.tile_window(zoom, tile)?;
         let key = TileKey {
             digest: self.digest,
@@ -450,14 +470,17 @@ impl TimelineService {
 
     /// `/v1/diagnose` — the automated bottleneck diagnosis. The file is
     /// immutable for the lifetime of the service, so the verdicts are
-    /// computed once and cached.
-    pub fn diagnose_json(&self) -> &str {
+    /// computed once and cached, and every answer shares that buffer.
+    pub fn diagnose_json(&self) -> Arc<String> {
         self.count_query();
-        self.diagnosis.get_or_init(|| {
-            TraceAnalyzer::new(&self.file)
-                .diagnose("serve")
-                .to_json(&self.file)
-        })
+        let diagnosis = self.diagnosis.get_or_init(|| {
+            Arc::new(
+                TraceAnalyzer::new(&self.file)
+                    .diagnose("serve")
+                    .to_json(&self.file),
+            )
+        });
+        Arc::clone(diagnosis)
     }
 
     fn critical_overlay(&self) -> PathOverlay {
@@ -634,6 +657,63 @@ mod tests {
         assert_eq!(rank.get("mode").unwrap().as_str().unwrap(), "preview");
         let preview = rank.get("preview").unwrap().as_arr().unwrap();
         assert_eq!(preview[0].get("count").unwrap().as_u64().unwrap(), n as u64);
+    }
+
+    /// Two ranks and `n` arrows from rank 0 to rank 1, each 8 bytes.
+    fn arrow_service(n: usize) -> TimelineService {
+        let ds: Vec<Drawable> = (0..n)
+            .map(|i| {
+                Drawable::Arrow(slog2::ArrowDrawable {
+                    category: CategoryId(0),
+                    from_timeline: TimelineId(0),
+                    to_timeline: TimelineId(1),
+                    start: i as f64,
+                    end: i as f64 + 0.5,
+                    tag: 0,
+                    size: 8,
+                })
+            })
+            .collect();
+        let range = TimeWindow::new(0.0, n as f64);
+        TimelineService::from_file(Slog2File {
+            timelines: vec!["PI_MAIN".into(), "P1".into()],
+            categories: vec![Category {
+                index: CategoryId(0),
+                name: "message".into(),
+                color: Color::WHITE,
+                kind: CategoryKind::Arrow,
+            }],
+            range,
+            warnings: vec![],
+            tree: FrameTree::build(ds, range.t0, range.t1, 32, 12),
+        })
+    }
+
+    #[test]
+    fn arrows_past_the_limit_answer_with_per_peer_aggregates() {
+        let limit = DETAIL_LIMIT as usize;
+        let svc = arrow_service(limit);
+        let v = Json::parse(&svc.query_json(TimeWindow::ALL, Some(&[0]))).unwrap();
+        let row = &v.get("ranks").unwrap().as_arr().unwrap()[0];
+        assert_eq!(row.get("arrows").unwrap().as_arr().unwrap().len(), limit);
+        assert!(row.get("arrow_mode").is_none());
+
+        let svc = arrow_service(limit + 1);
+        let w = TimeWindow::new(0.25, limit as f64);
+        let sender = svc.query_json(w, Some(&[0]));
+        assert!(
+            sender.ends_with(concat!(
+                r#""arrow_mode":"preview","arrow_preview":[{"peer":1,"dir":"out","#,
+                r#""count":513,"bytes":4104,"start":0.25,"end":512}]}]}"#
+            )),
+            "{sender}"
+        );
+        assert!(!sender.contains(r#""arrows""#));
+        let receiver = svc.query_json(w, Some(&[1]));
+        assert!(
+            receiver.contains(r#""arrow_preview":[{"peer":0,"dir":"in","count":513,"#),
+            "{receiver}"
+        );
     }
 
     #[test]

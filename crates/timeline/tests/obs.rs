@@ -4,7 +4,7 @@
 //! percentiles, and — the determinism guard — response bodies must be
 //! byte-identical with tracing on or off.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -69,52 +69,17 @@ fn slow_request_lands_in_flight_with_phases_summing_to_total() {
     let (_, flight_body) = client.get("/v1/obs/flight").unwrap();
     server.stop();
 
-    // The dump is valid JSON (Chrome trace-event array form).
-    let events = Json::parse(&flight_body).expect("flight dump parses");
-    let events = events.as_arr().expect("array form");
-    let request_ev = events
-        .iter()
-        .find(|e| {
-            e.get("args")
-                .and_then(|a| a.get("trace_id"))
-                .and_then(Json::as_str)
-                == Some("slow-tile-req")
-                && e.get("cat").and_then(Json::as_str) == Some("request")
-        })
-        .expect("slow request present in flight dump");
-    assert_eq!(
-        request_ev.get("ph").and_then(Json::as_str),
-        Some("X"),
-        "complete-event phase"
-    );
-    let total_us = request_ev.get("dur").and_then(Json::as_u64).unwrap();
+    let (total_us, phases) = traced_request(&flight_body, "slow-tile-req");
     assert!(total_us >= 40_000, "forced 40ms delay, got {total_us}us");
-
-    // Its phase events: the forced delay runs under `render`, and the
-    // serving path adds queue/parse/cache/write.
-    let phases: Vec<(&str, u64)> = events
-        .iter()
-        .filter(|e| {
-            e.get("cat").and_then(Json::as_str) == Some("phase")
-                && e.get("args")
-                    .and_then(|a| a.get("trace_id"))
-                    .and_then(Json::as_str)
-                    == Some("slow-tile-req")
-        })
-        .map(|e| {
-            (
-                e.get("name").and_then(Json::as_str).unwrap(),
-                e.get("dur").and_then(Json::as_u64).unwrap(),
-            )
-        })
-        .collect();
     let sum_of = |name: &str| -> u64 {
         phases
             .iter()
-            .filter(|(n, _)| *n == name)
+            .filter(|(n, _)| n == name)
             .map(|(_, d)| d)
             .sum()
     };
+    // The forced delay runs under `render`, and the serving path adds
+    // queue/parse/cache/write.
     for required in ["queue", "parse", "cache", "render", "write"] {
         assert!(sum_of(required) > 0, "missing phase {required}: {phases:?}");
     }
@@ -122,10 +87,77 @@ fn slow_request_lands_in_flight_with_phases_summing_to_total() {
         sum_of("render") >= 40_000,
         "the forced delay is render time: {phases:?}"
     );
-    // Instrumented phases must explain (almost) the whole request; the
-    // uncovered remainder is routing glue. The cache phase overlaps the
-    // computing thread's render phase only on single-flight waits, and
-    // this request had none, so the phase sum is also bounded above.
+    // The cache phase overlaps the computing thread's render phase only
+    // on single-flight waits, and this request had none.
+    assert_phases_tile(total_us, &phases);
+}
+
+/// A connection's first request is timed from the accept queue, and
+/// its parse phase from dequeue: a client that connects and waits
+/// before sending its request line spends that wait in `parse`, so the
+/// phases still tile the request.
+#[test]
+fn wait_for_the_first_request_line_is_parse_time() {
+    let app = App::single(service());
+    app.enable_tracing();
+    let mut server = serve(Arc::clone(&app), "127.0.0.1:0", 2).unwrap();
+    let mut stream = TcpStream::connect(("127.0.0.1", server.port())).unwrap();
+    std::thread::sleep(Duration::from_millis(30));
+    stream
+        .write_all(b"GET /v1/info HTTP/1.1\r\nX-Trace-Id: late-line\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
+    let mut client = Client::connect(&format!("127.0.0.1:{}", server.port())).unwrap();
+    let (_, flight_body) = client.get("/v1/obs/flight").unwrap();
+    server.stop();
+
+    let (total_us, phases) = traced_request(&flight_body, "late-line");
+    assert!(total_us >= 30_000, "waited 30ms, got {total_us}us");
+    assert_phases_tile(total_us, &phases);
+}
+
+/// The request event with `trace_id` in a flight dump: its total and
+/// its phases, in microseconds.
+fn traced_request(flight_body: &str, trace_id: &str) -> (u64, Vec<(String, u64)>) {
+    // The dump is valid JSON (Chrome trace-event array form).
+    let events = Json::parse(flight_body).expect("flight dump parses");
+    let events = events.as_arr().expect("array form");
+    let traced = |e: &&Json, cat: &str| {
+        e.get("args")
+            .and_then(|a| a.get("trace_id"))
+            .and_then(Json::as_str)
+            == Some(trace_id)
+            && e.get("cat").and_then(Json::as_str) == Some(cat)
+    };
+    let request_ev = events
+        .iter()
+        .find(|e| traced(e, "request"))
+        .unwrap_or_else(|| panic!("{trace_id} present in flight dump"));
+    assert_eq!(
+        request_ev.get("ph").and_then(Json::as_str),
+        Some("X"),
+        "complete-event phase"
+    );
+    let total_us = request_ev.get("dur").and_then(Json::as_u64).unwrap();
+    let phases = events
+        .iter()
+        .filter(|e| traced(e, "phase"))
+        .map(|e| {
+            (
+                e.get("name").and_then(Json::as_str).unwrap().to_string(),
+                e.get("dur").and_then(Json::as_u64).unwrap(),
+            )
+        })
+        .collect();
+    (total_us, phases)
+}
+
+/// Instrumented phases must explain (almost) the whole request; the
+/// uncovered remainder is routing glue. The phase sum is also bounded
+/// above.
+fn assert_phases_tile(total_us: u64, phases: &[(String, u64)]) {
     let covered: u64 = phases.iter().map(|(_, d)| d).sum();
     assert!(
         covered >= total_us * 9 / 10,

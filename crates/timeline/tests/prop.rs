@@ -2,6 +2,7 @@
 //! and the tile cache must be invisible — every answer byte-identical
 //! to what a brute-force scan of the raw drawable list produces.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mpelog::Color;
@@ -37,25 +38,60 @@ fn arb_drawable() -> impl Strategy<Value = Drawable> {
             })
         }),
         (
-            0u32..NRANKS,
-            0u32..NRANKS,
+            (0u32..NRANKS, 0u32..NRANKS),
             0f64..90.0,
             0f64..8.0,
             0u32..100,
-            1u32..4096
+            1u32..4096,
+            any::<bool>()
         )
-            .prop_map(|(from, to, start, dur, tag, size)| {
+            .prop_map(|((from, to), start, dur, tag, size, backward)| {
+                // A backward arrow is received before it is sent (the
+                // clock skew the converter keeps, not repairs).
+                let (start, end) = if backward {
+                    (start + dur, start)
+                } else {
+                    (start, start + dur)
+                };
                 Drawable::Arrow(ArrowDrawable {
                     category: CategoryId(4),
                     from_timeline: TimelineId(from),
                     to_timeline: TimelineId(to),
                     start,
-                    end: start + dur,
+                    end,
                     tag,
                     size,
                 })
             }),
     ]
+}
+
+/// `n` arrows touching rank `rank`, spread over the range: to and from
+/// every rank in turn (itself included), every third one backward.
+fn dense_arrows(rank: u32, n: usize) -> impl Iterator<Item = Drawable> {
+    (0..n).map(move |i| {
+        let peer = (rank + i as u32) % NRANKS;
+        let (from, to) = if i % 2 == 0 {
+            (rank, peer)
+        } else {
+            (peer, rank)
+        };
+        let t = 90.0 * i as f64 / n as f64;
+        let (start, end) = if i % 3 == 0 {
+            (t + 0.7, t)
+        } else {
+            (t, t + 0.7)
+        };
+        Drawable::Arrow(ArrowDrawable {
+            category: CategoryId(4),
+            from_timeline: TimelineId(from),
+            to_timeline: TimelineId(to),
+            start,
+            end,
+            tag: i as u32,
+            size: 7 * i as u32 + 1,
+        })
+    })
 }
 
 fn file(ds: Vec<Drawable>) -> Slog2File {
@@ -206,29 +242,66 @@ fn reference_query(f: &Slog2File, w: TimeWindow, ranks: Option<&[u32]>) -> Strin
     .compact()
 }
 
+/// One (peer, direction)'s arrows: count, summed sizes, earliest start
+/// and latest end, clipped to the window.
+type BruteAgg = (u64, u64, f64, f64);
+
+/// Rank `rank`'s arrows over `w`, aggregated per (peer, direction) by
+/// one pass over the file's flat drawable list — no index, no tree.
+fn brute_arrow_preview(
+    ds: &[&Drawable],
+    rank: u32,
+    w: TimeWindow,
+) -> BTreeMap<(u32, &'static str), BruteAgg> {
+    let mut agg: BTreeMap<(u32, &'static str), BruteAgg> = BTreeMap::new();
+    for d in ds {
+        let Drawable::Arrow(a) = d else { continue };
+        if !w.overlaps(d) {
+            continue;
+        }
+        let (from, to) = (a.from_timeline.as_u32(), a.to_timeline.as_u32());
+        let key = if from == rank {
+            (to, "out")
+        } else if to == rank {
+            (from, "in")
+        } else {
+            continue;
+        };
+        let e = agg
+            .entry(key)
+            .or_insert((0, 0, f64::INFINITY, f64::NEG_INFINITY));
+        e.0 += 1;
+        e.1 += u64::from(a.size);
+        e.2 = e.2.min(d.start());
+        e.3 = e.3.max(d.end());
+    }
+    for e in agg.values_mut() {
+        e.2 = e.2.max(w.t0);
+        e.3 = e.3.min(w.t1);
+    }
+    agg
+}
+
 fn reference_rank(f: &Slog2File, index: &TimelineIndex, rank: u32, w: TimeWindow) -> Json {
-    let arrows = index.rank_arrows(rank, w);
+    let flat = f.tree.query(TimeWindow::ALL);
+    let touching = flat
+        .iter()
+        .filter(|d| w.overlaps(d))
+        .filter(|d| {
+            matches!(d, Drawable::Arrow(a)
+            if a.from_timeline.as_u32() == rank || a.to_timeline.as_u32() == rank)
+        })
+        .count();
+    let aggregate = brute_arrow_preview(&flat, rank, w);
+    assert_eq!(
+        aggregate.values().map(|e| e.0).sum::<u64>(),
+        touching as u64,
+        "the aggregate counts the naive endpoint filter"
+    );
     let preview = index.rank_preview(rank, w);
     let count = preview.total_count();
     let detail = (count <= DETAIL_LIMIT).then(|| index.rank_drawables(rank, w));
     let name = f.timelines.get(rank as usize).cloned().unwrap_or_default();
-    let arrows: Vec<Json> = arrows
-        .into_iter()
-        .map(|a| {
-            Json::Obj(vec![
-                ("category".into(), Json::Num(f64::from(a.category.as_u32()))),
-                (
-                    "from".into(),
-                    Json::Num(f64::from(a.from_timeline.as_u32())),
-                ),
-                ("to".into(), Json::Num(f64::from(a.to_timeline.as_u32()))),
-                ("start".into(), Json::Num(a.start)),
-                ("end".into(), Json::Num(a.end)),
-                ("tag".into(), Json::Num(a.tag as f64)),
-                ("size".into(), Json::Num(a.size as f64)),
-            ])
-        })
-        .collect();
     let mut fields = vec![
         ("rank".into(), Json::Num(rank as f64)),
         ("name".into(), Json::Str(name)),
@@ -276,7 +349,43 @@ fn reference_rank(f: &Slog2File, index: &TimelineIndex, rank: u32, w: TimeWindow
             ),
         ));
     }
-    fields.push(("arrows".into(), Json::Arr(arrows)));
+    if touching as u64 <= DETAIL_LIMIT {
+        let arrows = index
+            .rank_arrows(rank, w)
+            .into_iter()
+            .map(|a| {
+                Json::Obj(vec![
+                    ("category".into(), Json::Num(f64::from(a.category.as_u32()))),
+                    (
+                        "from".into(),
+                        Json::Num(f64::from(a.from_timeline.as_u32())),
+                    ),
+                    ("to".into(), Json::Num(f64::from(a.to_timeline.as_u32()))),
+                    ("start".into(), Json::Num(a.start)),
+                    ("end".into(), Json::Num(a.end)),
+                    ("tag".into(), Json::Num(a.tag as f64)),
+                    ("size".into(), Json::Num(a.size as f64)),
+                ])
+            })
+            .collect();
+        fields.push(("arrows".into(), Json::Arr(arrows)));
+    } else {
+        let entries = aggregate
+            .into_iter()
+            .map(|((peer, dir), (count, bytes, start, end))| {
+                Json::Obj(vec![
+                    ("peer".into(), Json::Num(f64::from(peer))),
+                    ("dir".into(), Json::Str(dir.into())),
+                    ("count".into(), Json::Num(count as f64)),
+                    ("bytes".into(), Json::Num(bytes as f64)),
+                    ("start".into(), Json::Num(start)),
+                    ("end".into(), Json::Num(end)),
+                ])
+            })
+            .collect();
+        fields.push(("arrow_mode".into(), Json::Str("preview".into())));
+        fields.push(("arrow_preview".into(), Json::Arr(entries)));
+    }
     Json::Obj(fields)
 }
 
@@ -385,21 +494,25 @@ proptest! {
     /// `/v1/query` and `/v1/tile` bodies, written straight into one
     /// buffer, equal the `Json` tree the service used to build — for
     /// texts and names that need escaping, full-width integers, windows
-    /// that clip and windows that do not, detail and preview ranks, and
-    /// ranks out of range.
+    /// that clip and windows that do not, detail and preview ranks,
+    /// listed and aggregated arrows, and ranks out of range.
     #[test]
     fn written_bodies_equal_the_json_tree(
         ds in proptest::collection::vec(arb_rich_drawable(), 0..120),
         names in proptest::collection::vec(arb_text(), NRANKS as usize),
         bulk in (0u32..NRANKS, 0usize..1500, arb_text()),
+        arrow_bulk in (0u32..NRANKS, 0usize..1500),
         w in arb_window(),
         ranks in proptest::collection::vec(0u32..NRANKS + 2, 0..5),
         zoom in 0u8..4,
         tile_seed in 0u32..8,
     ) {
-        // One dense rank: more than the detail limit in wide windows.
+        // One rank dense in states and one in arrows: more than the
+        // detail limit in wide windows.
         let (dense, n, text) = bulk;
+        let (arrow_dense, arrow_n) = arrow_bulk;
         let mut ds = ds;
+        ds.extend(dense_arrows(arrow_dense, arrow_n));
         ds.extend((0..n).map(|i| {
             Drawable::State(StateDrawable {
                 category: CategoryId(i as u32 % 3),
@@ -421,9 +534,51 @@ proptest! {
         }
         let tile = tile_seed % (1 << zoom);
         let tw = svc.tile_window(zoom, tile).unwrap();
-        for rank in [dense, NRANKS] {
+        for rank in [dense, arrow_dense, NRANKS] {
             let body = svc.tile_json(rank, zoom, tile).unwrap();
             prop_assert_eq!(&*body, &reference_query(f, tw, Some(&[rank])));
         }
+    }
+
+    /// A rank's per-peer arrow aggregate over any window equals one
+    /// pass over the flat drawable list, and its count equals the
+    /// naive endpoint filter — for windows that clip, backward arrows,
+    /// self-messages, ranks with several peers, and counts on both
+    /// sides of the detail limit.
+    #[test]
+    fn arrow_preview_equals_brute_force_aggregate(
+        ds in proptest::collection::vec(arb_drawable(), 0..250),
+        arrow_bulk in (0u32..NRANKS, 0usize..1500),
+        w in arb_window(),
+        rank in 0u32..NRANKS + 1,
+    ) {
+        let (dense, n) = arrow_bulk;
+        let mut ds = ds;
+        ds.extend(dense_arrows(dense, n));
+        let f = file(ds.clone());
+        let idx = TimelineIndex::build(&f);
+        let got = idx.rank_arrow_preview(rank, w);
+        let flat: Vec<&Drawable> = ds.iter().collect();
+        let want: Vec<(u32, &str, BruteAgg)> = brute_arrow_preview(&flat, rank, w)
+            .into_iter()
+            .map(|((peer, dir), agg)| (peer, dir, agg))
+            .collect();
+        let got_entries: Vec<(u32, &str, BruteAgg)> = got
+            .entries
+            .iter()
+            .map(|e| {
+                let a = e.agg;
+                (e.peer, e.dir.as_str(), (a.count, a.bytes, a.start, a.end))
+            })
+            .collect();
+        prop_assert_eq!(got_entries, want);
+        let naive = ds
+            .iter()
+            .filter(|d| w.overlaps(d))
+            .filter(|d| matches!(d, Drawable::Arrow(a)
+                if a.from_timeline.as_u32() == rank || a.to_timeline.as_u32() == rank))
+            .count();
+        prop_assert_eq!(got.total_count(), naive as u64);
+        prop_assert_eq!(idx.rank_arrows(rank, w).len(), naive);
     }
 }
