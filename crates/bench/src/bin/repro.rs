@@ -561,8 +561,8 @@ struct ServePass {
     /// Client-measured latencies of admitted requests, sorted ascending, ms.
     latencies_ms: Vec<f64>,
     wall_s: f64,
-    /// Process CPU (user+sys) consumed by the replay, in clock ticks.
-    cpu_ticks: Option<u64>,
+    /// Process CPU (user+sys) consumed by the replay, in nanoseconds.
+    cpu_ns: Option<u64>,
     /// Requests never admitted: a non-200 answer other than a shed, or
     /// 25 attempts in a row shed or unanswered.
     errors: usize,
@@ -626,18 +626,36 @@ fn pctile(sorted: &[f64], p: f64) -> f64 {
     }
 }
 
-/// Process CPU time (user + system) in clock ticks from
-/// `/proc/self/stat`, `None` off Linux. Tick units cancel in the
-/// ratios this feeds, so no `USER_HZ` conversion is needed.
-fn process_cpu_ticks() -> Option<u64> {
-    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-    // Fields 14 (utime) and 15 (stime), counted after the parenthesised
-    // command name (which may itself contain spaces).
-    let rest = stat.rsplit(')').next()?;
-    let fields: Vec<&str> = rest.split_whitespace().collect();
-    let utime: u64 = fields.get(11)?.parse().ok()?;
-    let stime: u64 = fields.get(12)?.parse().ok()?;
-    Some(utime + stime)
+/// Process CPU time (user + system, of every thread the process has
+/// run, exited ones included) in nanoseconds, from
+/// `clock_gettime(CLOCK_PROCESS_CPUTIME_ID)`; `None` off Linux. A raw
+/// binding, like pilotd's `signal(2)`, keeps the build dependency-free.
+#[cfg(target_os = "linux")]
+fn process_cpu_ns() -> Option<u64> {
+    use std::ffi::{c_int, c_long};
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: c_long,
+        tv_nsec: c_long,
+    }
+    extern "C" {
+        fn clock_gettime(clock: c_int, tp: *mut Timespec) -> c_int;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: c_int = 2;
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a live, writable timespec for the whole call.
+    if unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) } != 0 {
+        return None;
+    }
+    Some(ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64)
+}
+
+#[cfg(not(target_os = "linux"))]
+fn process_cpu_ns() -> Option<u64> {
+    None
 }
 
 /// The tile endpoint's entry in a `/v1/obs/endpoints` body.
@@ -712,7 +730,7 @@ fn run_serve_pass(
     }
     let server = timeline::serve(Arc::clone(&app), "127.0.0.1:0", 8).expect("bind server");
     let addr = format!("127.0.0.1:{}", server.port());
-    let cpu_before = process_cpu_ticks();
+    let cpu_before = process_cpu_ns();
     let wall = Instant::now();
     let shares: Vec<ServePass> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..clients.max(1))
@@ -731,7 +749,7 @@ fn run_serve_pass(
         pass.tally.merge(&share.tally);
     }
     pass.wall_s = wall.elapsed().as_secs_f64();
-    pass.cpu_ticks = process_cpu_ticks().zip(cpu_before).map(|(a, b)| a - b);
+    pass.cpu_ns = process_cpu_ns().zip(cpu_before).map(|(a, b)| a - b);
     pass.latencies_ms.sort_by(f64::total_cmp);
 
     let mut probe = timeline::Client::connect(&addr).expect("stats probe");
@@ -896,11 +914,11 @@ fn serve_bench(clients: usize, obs_mode: bool, max_overhead_pct: f64) -> bool {
         report
             .num("p50_notrace_ms", p50.off)
             .num("p50_overhead_pct", p50.pct);
-        let gated_overhead_pct = match overhead(|p| Some(p.cpu_ticks? as f64)) {
+        let gated_overhead_pct = match overhead(|p| Some(p.cpu_ns? as f64 / 1e6)) {
             None => p50.pct,
             Some(cpu) => {
                 println!(
-                    "  tracing overhead: cpu {:.0} -> {:.0} ticks ({:+.1}%, median pair delta of {PAIRS})",
+                    "  tracing overhead: cpu {:.1} -> {:.1} ms ({:+.1}%, median pair delta of {PAIRS})",
                     cpu.off, cpu.on, cpu.pct
                 );
                 cpu.pct

@@ -25,7 +25,6 @@ use crate::viewport::Viewport;
 #[allow(clippy::needless_range_loop)]
 pub(crate) fn ascii_string(file: &Slog2File, w: TimeWindow, opts: &RenderOptions) -> String {
     let (t0, t1) = (w.t0, w.t1);
-    let show_arrows = opts.show_arrows;
     let max_arrows = opts.max_arrows;
     let width = (opts.width as usize).max(8);
     let vp = Viewport::new(t0, t1.max(t0 + f64::MIN_POSITIVE), width as u32);
@@ -126,7 +125,7 @@ pub(crate) fn ascii_string(file: &Slog2File, w: TimeWindow, opts: &RenderOptions
             let _ = writeln!(out, "  hop {from}->{to} @{t_send:.6}s..{t_recv:.6}s");
         }
     }
-    if show_arrows && !arrows.is_empty() {
+    if !arrows.is_empty() {
         arrows.sort_by(|a, b| a.0.total_cmp(&b.0));
         let shown = if max_arrows > 0 {
             arrows.len().min(max_arrows)

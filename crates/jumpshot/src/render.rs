@@ -79,10 +79,6 @@ pub struct RenderOptions {
     /// Output width: pixels for the SVG/HTML/histogram backends,
     /// characters for the ascii backend.
     pub width: u32,
-    /// Draw message arrows?
-    pub show_arrows: bool,
-    /// Draw event bubbles?
-    pub show_events: bool,
     /// Cap on the ascii backend's arrow list (0 = unlimited).
     pub max_arrows: usize,
     /// If set, only these category indices are drawn (legend visibility
@@ -107,8 +103,6 @@ impl Default for RenderOptions {
         RenderOptions {
             window: None,
             width: 1280,
-            show_arrows: true,
-            show_events: true,
             max_arrows: 20,
             visible_categories: None,
             overlay: None,
@@ -128,18 +122,6 @@ impl RenderOptions {
     /// Set the output width (pixels, or characters for ascii).
     pub fn with_width(mut self, width: u32) -> Self {
         self.width = width;
-        self
-    }
-
-    /// Toggle message arrows.
-    pub fn with_arrows(mut self, show: bool) -> Self {
-        self.show_arrows = show;
-        self
-    }
-
-    /// Toggle event bubbles.
-    pub fn with_events(mut self, show: bool) -> Self {
-        self.show_events = show;
         self
     }
 
@@ -300,16 +282,8 @@ pub(crate) fn svg_string(file: &Slog2File, vp: &Viewport, opts: &RenderOptions) 
                         .or_insert(0.0) += clipped1 - clipped0;
                 }
             }
-            Drawable::Event(e) => {
-                if opts.show_events {
-                    events.push(e);
-                }
-            }
-            Drawable::Arrow(a) => {
-                if opts.show_arrows {
-                    arrows.push(a);
-                }
-            }
+            Drawable::Event(e) => events.push(e),
+            Drawable::Arrow(a) => arrows.push(a),
         }
     }
 

@@ -56,22 +56,13 @@ pub struct ImageBlock<'a> {
     pub rank: u32,
     /// Records in the block (the recovered prefix, for a salvaged image).
     pub n_records: u32,
-    /// Record-aligned, pre-validated sub-slices of the block payload.
-    pub chunks: Vec<ImageChunk<'a>>,
-}
-
-/// A record-aligned slice of a block: `n_records` consecutive encoded
-/// records, already validated by the parse that produced the image.
-#[derive(Debug, Clone, Copy)]
-pub struct ImageChunk<'a> {
-    /// The encoded record bytes.
+    /// The block's `n_records` encoded records, already validated by
+    /// the parse that produced the image.
     pub data: &'a [u8],
-    /// How many records `data` holds.
-    pub n_records: u32,
 }
 
-impl<'a> ImageChunk<'a> {
-    /// The chunk's records as borrowed views.
+impl<'a> ImageBlock<'a> {
+    /// The block's records as borrowed views.
     pub fn views(&self) -> impl Iterator<Item = RecordView<'a>> {
         let mut r = Reader::new(self.data);
         (0..self.n_records)
@@ -129,6 +120,14 @@ impl Clog2File {
         bytes.len() >= MAGIC.len() && &bytes[..MAGIC.len()] == MAGIC
     }
 
+    /// The world size a CLOG2 image's header claims, read without
+    /// parsing anything else; `None` if the bytes end first. Like
+    /// [`Clog2File::sniff`], it promises nothing about the rest of the
+    /// bytes.
+    pub fn claimed_ranks(bytes: &[u8]) -> Option<u32> {
+        Reader::new(bytes.get(MAGIC.len()..)?).get_u32().ok()
+    }
+
     /// Parse from bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Clog2File, WireError> {
         let (file, _, parsed) = parse_owned(bytes);
@@ -138,14 +137,13 @@ impl Clog2File {
     /// Parse a CLOG2 byte image without materializing records: the
     /// header is decoded, each block's record payload is located (and
     /// structurally validated, including text UTF-8) but left in place
-    /// as borrowed sub-slices, pre-split into record-aligned chunks of
-    /// at most `chunk_records` records.
+    /// as one borrowed slice per block.
     ///
     /// This is the zero-copy scan path for memory-mapped inputs: the
-    /// converter decodes [`RecordView`]s straight out of the chunks, in
-    /// parallel, with no intermediate `Vec<Record>`.
-    pub fn parse_image(bytes: &[u8], chunk_records: usize) -> Result<Clog2Image<'_>, WireError> {
-        let (image, _, parsed) = parse_prefix(bytes, chunk_records, None);
+    /// converter decodes [`RecordView`]s straight out of each block,
+    /// with no intermediate `Vec<Record>`.
+    pub fn parse_image(bytes: &[u8]) -> Result<Clog2Image<'_>, WireError> {
+        let (image, _, parsed) = parse_prefix(bytes, None);
         parsed.map(|()| image)
     }
 
@@ -158,8 +156,8 @@ impl Clog2File {
     /// Never panics on any input, and the recovered image is always a
     /// record-aligned prefix of what the untruncated bytes would parse
     /// to (per rank, in block order).
-    pub fn salvage_image(bytes: &[u8], chunk_records: usize) -> Salvaged<Clog2Image<'_>> {
-        let (image, at, parsed) = parse_prefix(bytes, chunk_records, None);
+    pub fn salvage_image(bytes: &[u8]) -> Salvaged<Clog2Image<'_>> {
+        let (image, at, parsed) = parse_prefix(bytes, None);
         at.salvaged(image, parsed)
     }
 
@@ -209,12 +207,11 @@ const MIN_RECORD_BYTES: usize = 17;
 /// Run [`parse`] and sort whatever it decoded by rank.
 fn parse_prefix<'a>(
     bytes: &'a [u8],
-    chunk_records: usize,
     owned: Option<&mut Vec<(u32, Vec<Record>)>>,
 ) -> (Clog2Image<'a>, Progress, Result<(), WireError>) {
     let mut image = Clog2Image::default();
     let mut at = Progress::default();
-    let parsed = parse(bytes, chunk_records.max(1), &mut image, &mut at, owned);
+    let parsed = parse(bytes, &mut image, &mut at, owned);
     image.blocks.sort_by_key(|b| b.rank);
     (image, at, parsed)
 }
@@ -222,7 +219,7 @@ fn parse_prefix<'a>(
 /// [`parse_prefix`] into an owned log, each record decoded once.
 fn parse_owned(bytes: &[u8]) -> (Clog2File, Progress, Result<(), WireError>) {
     let mut blocks = Vec::new();
-    let (image, at, parsed) = parse_prefix(bytes, usize::MAX, Some(&mut blocks));
+    let (image, at, parsed) = parse_prefix(bytes, Some(&mut blocks));
     let file = Clog2File {
         nranks: image.nranks,
         state_defs: image.state_defs,
@@ -242,7 +239,6 @@ fn parse_owned(bytes: &[u8]) -> (Clog2File, Progress, Result<(), WireError>) {
 /// it.
 fn parse<'a>(
     bytes: &'a [u8],
-    chunk_records: usize,
     image: &mut Clog2Image<'a>,
     at: &mut Progress,
     mut owned: Option<&mut Vec<(u32, Vec<Record>)>>,
@@ -283,7 +279,7 @@ fn parse<'a>(
         image.blocks.push(ImageBlock {
             rank,
             n_records: 0,
-            chunks: Vec::new(),
+            data: &[],
         });
         let block = image.blocks.last_mut().expect("block just pushed");
         let mut records = owned.as_deref_mut().map(|o| {
@@ -291,31 +287,18 @@ fn parse<'a>(
             o.push((rank, Vec::with_capacity(cap)));
             &mut o.last_mut().expect("block just pushed").1
         });
-        // The open chunk: its first byte and how many records it holds.
-        let (mut start, mut open) = (r.position(), 0usize);
-        for i in 0..nrec {
+        let start = r.position();
+        for _ in 0..nrec {
             // Full validation (structure + text UTF-8), so scans of the
-            // chunks decode infallibly.
-            let decoded = Record::decode_view(&mut r);
-            if let Ok(view) = decoded {
-                if let Some(records) = &mut records {
-                    records.push(view.into());
-                }
-                open += 1;
-                block.n_records += 1;
-                at.records += 1;
-                at.bytes = r.position();
+            // block decode infallibly.
+            let view = Record::decode_view(&mut r)?;
+            if let Some(records) = &mut records {
+                records.push(view.into());
             }
-            if open == chunk_records || i + 1 == nrec || decoded.is_err() {
-                if open > 0 {
-                    block.chunks.push(ImageChunk {
-                        data: &bytes[start..at.bytes],
-                        n_records: open as u32,
-                    });
-                }
-                (start, open) = (at.bytes, 0);
-            }
-            decoded?;
+            block.n_records += 1;
+            block.data = &bytes[start..r.position()];
+            at.records += 1;
+            at.bytes = r.position();
         }
         at.torn_rank = None;
         at.bytes = r.position();
@@ -485,29 +468,23 @@ mod tests {
     fn image_parse_matches_from_bytes() {
         let f = sample_file();
         let bytes = f.to_bytes();
-        for chunk_records in [1usize, 2, 1024] {
-            let img = Clog2File::parse_image(&bytes, chunk_records).unwrap();
-            assert_eq!(img.nranks, f.nranks);
-            assert_eq!(img.state_defs, f.state_defs);
-            assert_eq!(img.event_defs, f.event_defs);
-            assert_eq!(img.blocks.len(), f.blocks.len());
-            for (block, (&rank, records)) in img.blocks.iter().zip(f.blocks.iter()) {
-                assert_eq!(block.rank, rank);
-                assert_eq!(block.n_records as usize, records.len());
-                // Decoding the chunk views back reproduces the records.
-                let mut decoded = Vec::new();
-                for chunk in &block.chunks {
-                    assert!(chunk.n_records as usize <= chunk_records);
-                    let mut r = Reader::new(chunk.data);
-                    for _ in 0..chunk.n_records {
-                        decoded.push(Record::decode_view(&mut r).unwrap());
-                    }
-                    assert_eq!(r.remaining(), 0);
-                }
-                let want: Vec<crate::record::RecordView<'_>> =
-                    records.iter().map(Into::into).collect();
-                assert_eq!(decoded, want);
+        let img = Clog2File::parse_image(&bytes).unwrap();
+        assert_eq!(img.nranks, f.nranks);
+        assert_eq!(img.state_defs, f.state_defs);
+        assert_eq!(img.event_defs, f.event_defs);
+        assert_eq!(img.blocks.len(), f.blocks.len());
+        for (block, (&rank, records)) in img.blocks.iter().zip(f.blocks.iter()) {
+            assert_eq!(block.rank, rank);
+            assert_eq!(block.n_records as usize, records.len());
+            // The block's slice holds exactly its records, and its views
+            // decode them back.
+            let mut r = Reader::new(block.data);
+            for _ in 0..block.n_records {
+                Record::decode_view(&mut r).unwrap();
             }
+            assert_eq!(r.remaining(), 0);
+            let want: Vec<crate::record::RecordView<'_>> = records.iter().map(Into::into).collect();
+            assert_eq!(block.views().collect::<Vec<_>>(), want);
         }
     }
 
@@ -518,7 +495,7 @@ mod tests {
         // truncations
         for cut in [0, 4, good.len() / 2, good.len() - 1] {
             assert!(
-                Clog2File::parse_image(&good[..cut], 64).is_err(),
+                Clog2File::parse_image(&good[..cut]).is_err(),
                 "cut at {cut}"
             );
         }
@@ -526,9 +503,17 @@ mod tests {
         let mut bad = good.clone();
         bad[0] = b'X';
         assert!(matches!(
-            Clog2File::parse_image(&bad, 64),
+            Clog2File::parse_image(&bad),
             Err(WireError::BadMagic(_))
         ));
+    }
+
+    #[test]
+    fn claimed_ranks_reads_the_header_alone() {
+        let bytes = sample_file().to_bytes();
+        assert_eq!(Clog2File::claimed_ranks(&bytes), Some(2));
+        assert_eq!(Clog2File::claimed_ranks(&bytes[..12]), Some(2));
+        assert_eq!(Clog2File::claimed_ranks(&bytes[..11]), None);
     }
 
     #[test]
@@ -621,7 +606,7 @@ mod tests {
             Err(WireError::Corrupt(_))
         ));
         assert!(matches!(
-            Clog2File::parse_image(&bytes, 64),
+            Clog2File::parse_image(&bytes),
             Err(WireError::Corrupt(_))
         ));
         // Salvage keeps every block and stops at the end of the last.
@@ -646,7 +631,7 @@ mod tests {
         bytes.extend_from_slice(&[0; 8]);
         for strict in [
             Clog2File::from_bytes(&bytes).map(drop),
-            Clog2File::parse_image(&bytes, 64).map(drop),
+            Clog2File::parse_image(&bytes).map(drop),
         ] {
             assert!(
                 matches!(&strict, Err(WireError::Corrupt(m)) if m.contains("duplicate block")),
@@ -673,7 +658,7 @@ mod tests {
         let mut bytes = f.to_bytes();
         let t = std::time::Instant::now();
         assert_eq!(Clog2File::from_bytes(&bytes).unwrap(), f);
-        let image = Clog2File::parse_image(&bytes, 64).unwrap();
+        let image = Clog2File::parse_image(&bytes).unwrap();
         assert_eq!(image.blocks.len(), n as usize);
         // A duplicate of rank 0 after the last block (nblocks follows
         // the magic, nranks and the two empty def counts): salvage

@@ -160,10 +160,6 @@ impl DrawableColumns {
         }
     }
 
-    pub(crate) fn kind(&self, i: usize) -> u8 {
-        self.kinds[i]
-    }
-
     pub(crate) fn category(&self, i: usize) -> CategoryId {
         CategoryId(self.cats[i])
     }
@@ -193,13 +189,6 @@ impl DrawableColumns {
     pub(crate) fn text(&self, i: usize) -> &str {
         let off = self.text_off[i] as usize;
         &self.texts[off..off + self.text_len[i] as usize]
-    }
-
-    /// Add `delta` to a state row's nest level (the stitch pass uses
-    /// this to lift chunk-local nest positions onto the carry stack).
-    pub(crate) fn bump_nest(&mut self, i: usize, delta: u32) {
-        debug_assert_eq!(self.kinds[i], KIND_STATE);
-        self.aux1[i] += delta;
     }
 
     /// The Equal-Drawables grouping key for row `i`: category,
@@ -277,24 +266,6 @@ impl DrawableColumns {
                 w.put_u32(self.aux2[i]);
                 w.put_u32(self.aux3[i]);
             }
-        }
-    }
-
-    /// Copy row `i` of `src` onto the end of `self`.
-    pub(crate) fn push_row(&mut self, src: &DrawableColumns, i: usize) {
-        self.kinds.push(src.kinds[i]);
-        self.cats.push(src.cats[i]);
-        self.tls.push(src.tls[i]);
-        self.aux1.push(src.aux1[i]);
-        self.aux2.push(src.aux2[i]);
-        self.aux3.push(src.aux3[i]);
-        self.t0s.push(src.t0s[i]);
-        self.t1s.push(src.t1s[i]);
-        self.push_text(src.text(i));
-        match src.kinds[i] {
-            KIND_STATE => self.n_states += 1,
-            KIND_EVENT => self.n_events += 1,
-            _ => self.n_arrows += 1,
         }
     }
 
@@ -381,7 +352,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn append_and_push_row_rebase_texts() {
+    fn append_rebases_texts() {
         let ds = sample();
         let mut a = DrawableColumns::new();
         a.push(&ds[0]);
@@ -391,24 +362,8 @@ pub(crate) mod tests {
         let mut merged = DrawableColumns::new();
         merged.append(&a);
         merged.append(&b);
-        let mut copied = DrawableColumns::new();
-        for i in 0..merged.len() {
-            copied.push_row(&merged, i);
-        }
         for (i, d) in ds.iter().enumerate() {
             assert_eq!(&merged.to_drawable(i), d);
-            assert_eq!(&copied.to_drawable(i), d);
-        }
-    }
-
-    #[test]
-    fn bump_nest_lifts_state_rows() {
-        let mut cols = DrawableColumns::new();
-        cols.push(&sample()[0]);
-        cols.bump_nest(0, 2);
-        match cols.to_drawable(0) {
-            Drawable::State(s) => assert_eq!(s.nest_level, 5),
-            other => panic!("wrong kind: {other:?}"),
         }
     }
 }

@@ -39,9 +39,9 @@
 //! for the determinism argument):
 //!
 //! 1. **Scan** — one front end opens any source under either torn-input
-//!    policy; blocks are split into fixed-size record chunks that
-//!    workers *steal* from a shared queue (so parallelism is not capped
-//!    by the rank count), then stitched back per rank (`scan`).
+//!    policy; workers steal whole rank blocks and scan each in one pass
+//!    with one open-state stack, so this phase uses at most one thread
+//!    per block (`scan`).
 //! 2. **Merge** — shard outputs concatenate in rank order into columnar
 //!    storage (`columnar`); per-rank send/recv lists are key-disjoint.
 //! 3. **Arrows** — per-shard key-sorted send/recv runs merge (sends by

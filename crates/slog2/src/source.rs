@@ -23,9 +23,7 @@ use crate::convert::{
     register_terminal_categories, terminal_shard, ConvertWarning, Converter, FailureKind,
     RankVerdict, SalvageReport, TornPolicy,
 };
-use crate::scan::{
-    build_categories, scan_sources, BlockInput, CategoryTable, RankScan, CHUNK_RECORDS,
-};
+use crate::scan::{build_categories, scan_sources, BlockInput, CategoryTable, RankScan};
 
 /// A source of CLOG2 trace data for [`Converter::convert`].
 pub enum TraceSource<'a> {
@@ -74,8 +72,8 @@ impl Converter {
     /// The front end: open `src` under the torn-input policy and scan it
     /// into per-rank shards. Given a `spill` (the out-of-core writer
     /// moves rows to disk there), ranks are scanned one at a time so
-    /// one rank's drawables are resident; otherwise every block is
-    /// scanned in one work-stealing pass.
+    /// one rank's drawables are resident; otherwise workers steal whole
+    /// rank blocks.
     pub(crate) fn scan(
         &self,
         src: TraceSource<'_>,
@@ -138,9 +136,9 @@ impl Converter {
         shards: &mut Vec<RankScan>,
     ) -> Result<(CategoryTable, u32), StreamError> {
         let image = match salvage {
-            None => Clog2File::parse_image(bytes, CHUNK_RECORDS)?,
+            None => Clog2File::parse_image(bytes)?,
             Some(report) => {
-                let s = Clog2File::salvage_image(bytes, CHUNK_RECORDS);
+                let s = Clog2File::salvage_image(bytes);
                 report.records_recovered = s.records_recovered;
                 report.bytes_recovered = s.bytes_recovered;
                 report.truncated = s.truncated;
@@ -163,7 +161,7 @@ impl Converter {
     }
 
     /// Scan `blocks` onto `shards` over `workers` threads — one rank at
-    /// a time when spilling.
+    /// a time, on one thread, when spilling.
     fn scan_blocks(
         &self,
         blocks: &[BlockInput<'_>],

@@ -484,16 +484,9 @@ fn load_upload(bytes: &[u8]) -> Result<(Slog2File, bool), UploadError> {
     if Clog2File::sniff(bytes) {
         // Refuse what cannot become a trace before converting anything:
         // the converter builds one timeline per rank the header claims.
-        let probe = Clog2File::salvage_image(bytes, usize::MAX);
-        if probe.records_recovered == 0 {
-            return Err(UploadError::Invalid(
-                "CLOG2 body torn before any complete record".into(),
-            ));
-        }
-        if probe.file.nranks > MAX_UPLOAD_RANKS {
+        if let Some(nranks) = Clog2File::claimed_ranks(bytes).filter(|&n| n > MAX_UPLOAD_RANKS) {
             return Err(UploadError::Invalid(format!(
-                "CLOG2 header claims {} ranks (at most {MAX_UPLOAD_RANKS})",
-                probe.file.nranks
+                "CLOG2 header claims {nranks} ranks (at most {MAX_UPLOAD_RANKS})"
             )));
         }
         // Salvage scans the body in place; the converter reports what a
@@ -502,7 +495,13 @@ fn load_upload(bytes: &[u8]) -> Result<(Slog2File, bool), UploadError> {
             .on_torn(TornPolicy::Salvage(SalvageReport::default()))
             .convert(TraceSource::Bytes(bytes))
             .expect("salvaging a byte image cannot fail");
-        return Ok((c.file, probe.truncated));
+        let report = c.salvage.expect("a salvaging conversion reports");
+        if report.records_recovered == 0 {
+            return Err(UploadError::Invalid(
+                "CLOG2 body torn before any complete record".into(),
+            ));
+        }
+        return Ok((c.file, report.truncated));
     }
     Err(UploadError::Invalid(
         "body is neither SLOG2 nor CLOG2 (unknown magic)".into(),

@@ -432,14 +432,18 @@ mod tests {
 
     #[test]
     fn instance_b_has_long_init() {
-        // B's master-side init must dwarf the fixed variant's.
+        // B's master-side init must dwarf the fixed variant's. Under the
+        // virtual engine both are modelled: B's master sleeps `workers ×
+        // (read + parse)` before distributing, while each fixed worker
+        // sleeps only its own share, in parallel with the others.
         let params = CollisionParams {
-            rows: 20_000,
-            parse_work: 3,
+            read_think_ms: 2.0,
+            parse_think_ms: 3.0,
             ..small()
         };
-        let (_, b) = run_collision(PilotConfig::new(4), 3, CollisionVariant::InstanceB, params);
-        let (_, fixed) = run_collision(PilotConfig::new(4), 3, CollisionVariant::Fixed, params);
+        let config = || PilotConfig::new(4).with_engine(minimpi::Engine::Virtual { seed: 1 });
+        let (_, b) = run_collision(config(), 3, CollisionVariant::InstanceB, params);
+        let (_, fixed) = run_collision(config(), 3, CollisionVariant::Fixed, params);
         let (b, fixed) = (b.unwrap(), fixed.unwrap());
         assert!(
             b.init_seconds > fixed.init_seconds,
