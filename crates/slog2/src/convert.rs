@@ -70,7 +70,7 @@ use crate::id::{CategoryId, TimelineId};
 use crate::oocore::{ExtSorter, SortedIter};
 use crate::scan::{CategoryTable, MsgKey, RankScan};
 use crate::source::{Scanned, TraceSource};
-use crate::tree::FrameTree;
+use crate::tree::{FrameTree, MAX_TREE_DEPTH};
 use crate::window::TimeWindow;
 use mpelog::Color;
 
@@ -378,6 +378,11 @@ pub struct Conversion {
     pub salvage: Option<SalvageReport>,
 }
 
+/// The most ranks a log's header may claim. The converter builds one
+/// timeline per claimed rank, so it refuses a larger claim, under
+/// either torn-input policy, before it builds any.
+pub const MAX_RANKS: u32 = 1 << 16;
+
 /// The unified conversion entry point: a builder over every tuning knob,
 /// driving any [`TraceSource`].
 ///
@@ -428,9 +433,10 @@ impl Converter {
         self
     }
 
-    /// Frame-tree depth limit.
+    /// Frame-tree depth limit, clamped to [`MAX_TREE_DEPTH`], the
+    /// deepest tree a reader accepts.
     pub fn max_depth(mut self, depth: u32) -> Converter {
-        self.max_depth = depth;
+        self.max_depth = depth.min(MAX_TREE_DEPTH);
         self
     }
 
@@ -914,6 +920,7 @@ pub(crate) fn report_equal_drawables(
 pub(crate) mod tests {
     use super::*;
     use crate::drawable::Drawable;
+    use mpelog::wire::WireError;
     use mpelog::{Clog2File, Color, Logger};
 
     /// Convert `clog` in memory with `conv`.
@@ -1513,5 +1520,44 @@ pub(crate) mod tests {
         let (file, _) = salvage(&sample_clog(), &report);
         let back = Slog2File::from_bytes(&file.to_bytes()).unwrap();
         assert_eq!(back, file);
+    }
+
+    #[test]
+    fn max_depth_clamps_to_what_a_reader_accepts() {
+        let clog = messy_clog(2);
+        let deep = Converter::new()
+            .max_depth(u32::MAX)
+            .frame_capacity(1)
+            .convert(TraceSource::InMemory(&clog))
+            .unwrap()
+            .file;
+        assert_eq!(deep.tree.max_depth, MAX_TREE_DEPTH);
+        assert_eq!(Slog2File::from_bytes(&deep.to_bytes()).unwrap(), deep);
+    }
+
+    #[test]
+    fn a_claim_past_max_ranks_is_refused_under_either_policy() {
+        let mut clog = messy_clog(2);
+        for (nranks, refused) in [(MAX_RANKS + 1, true), (u32::MAX, true), (MAX_RANKS, false)] {
+            clog.nranks = nranks;
+            let bytes = clog.to_bytes();
+            for torn in [
+                TornPolicy::Strict,
+                TornPolicy::Salvage(SalvageReport::default()),
+            ] {
+                let conv = Converter::new().on_torn(torn);
+                for src in [TraceSource::InMemory(&clog), TraceSource::Bytes(&bytes)] {
+                    let got = conv.convert(src);
+                    if refused {
+                        assert!(
+                            matches!(got, Err(StreamError::Wire(WireError::Corrupt(_)))),
+                            "{nranks} ranks"
+                        );
+                    } else {
+                        assert_eq!(got.unwrap().file.timelines.len(), nranks as usize);
+                    }
+                }
+            }
+        }
     }
 }

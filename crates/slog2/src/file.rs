@@ -28,7 +28,7 @@ use mpelog::wire::{Reader, WireError, Writer};
 use crate::drawable::{Category, Drawable};
 use crate::error::Slog2Error;
 use crate::id::{CategoryId, CategoryMap, TimelineId};
-use crate::tree::{FrameNode, FrameTree, Preview, PreviewEntry};
+use crate::tree::{FrameNode, FrameTree, Preview, PreviewEntry, MAX_TREE_DEPTH};
 use crate::window::TimeWindow;
 
 const MAGIC: &[u8; 8] = b"PSLOG2\x00\x01";
@@ -121,6 +121,11 @@ impl Slog2File {
         }
         let capacity = r.get_u32()? as usize;
         let max_depth = r.get_u32()?;
+        if max_depth > MAX_TREE_DEPTH {
+            return Err(WireError::Corrupt(format!(
+                "max_depth {max_depth} exceeds {MAX_TREE_DEPTH}"
+            )));
+        }
         let range = TimeWindow::new(r.get_f64()?, r.get_f64()?);
         let ntl = read_count(&mut r, "timeline", MIN_STRING_BYTES)?;
         let mut timelines = Vec::with_capacity(ntl);
@@ -141,7 +146,7 @@ impl Slog2File {
         // Skip the directory; sequential parse doesn't need it.
         let _dir = r.get_bytes(n_nodes * 8)?;
         let mut consumed = 0usize;
-        let root = decode_node(&mut r, &mut consumed, n_nodes)?;
+        let root = decode_node(&mut r, &mut consumed, n_nodes, max_depth, 0)?;
         if consumed != n_nodes {
             return Err(WireError::Corrupt(format!(
                 "directory says {n_nodes} nodes, parsed {consumed}"
@@ -375,10 +380,16 @@ fn decode_one_node(r: &mut Reader<'_>) -> Result<(FrameNode, bool), WireError> {
     ))
 }
 
+/// Decode the subtree whose root sits at `depth`, of at most `limit`
+/// nodes in all. The recursion is as deep as the tree, so a node whose
+/// depth is not `depth`, or is past the header's `max_depth` (itself at
+/// most [`MAX_TREE_DEPTH`]), is refused before its children are read.
 fn decode_node(
     r: &mut Reader<'_>,
     consumed: &mut usize,
     limit: usize,
+    max_depth: u32,
+    depth: u32,
 ) -> Result<FrameNode, WireError> {
     if *consumed >= limit {
         return Err(WireError::Corrupt(
@@ -387,9 +398,15 @@ fn decode_node(
     }
     *consumed += 1;
     let (mut node, has_children) = decode_one_node(r)?;
+    if node.depth != depth || depth > max_depth {
+        return Err(WireError::Corrupt(format!(
+            "node at depth {depth} says depth {} (max_depth {max_depth})",
+            node.depth
+        )));
+    }
     if has_children {
-        let l = decode_node(r, consumed, limit)?;
-        let rr = decode_node(r, consumed, limit)?;
+        let l = decode_node(r, consumed, limit, max_depth, depth + 1)?;
+        let rr = decode_node(r, consumed, limit, max_depth, depth + 1)?;
         node.children = Some(Box::new((l, rr)));
     }
     Ok(node)
@@ -615,6 +632,33 @@ mod tests {
         assert!(Slog2File::read_from(&path).is_ok());
         let err = Slog2File::read_validated(&path).unwrap_err();
         assert!(matches!(err, Slog2Error::Validate(ref d) if !d.is_empty()));
+    }
+
+    #[test]
+    fn node_depths_must_follow_the_tree_and_the_header() {
+        let f = sample();
+        assert!(f.tree.depth() >= 2);
+        let edit = |what: &str, change: &dyn Fn(&mut Slog2File)| {
+            let mut bad = f.clone();
+            change(&mut bad);
+            assert!(
+                matches!(
+                    Slog2File::from_bytes(&bad.to_bytes()),
+                    Err(WireError::Corrupt(_))
+                ),
+                "{what}"
+            );
+        };
+        edit("max_depth past the constant", &|f| {
+            f.tree.max_depth = MAX_TREE_DEPTH + 1
+        });
+        edit("a node past the header's max_depth", &|f| {
+            f.tree.max_depth = f.tree.depth() - 1
+        });
+        edit("a root at depth 1", &|f| f.tree.root.depth = 1);
+        edit("a child at its parent's depth", &|f| {
+            f.tree.root.children.as_mut().unwrap().1.depth = 0
+        });
     }
 
     #[test]

@@ -44,6 +44,7 @@ pub mod window;
 
 pub use convert::{
     Conversion, ConvertWarning, Converter, FailureKind, RankVerdict, SalvageReport, TornPolicy,
+    MAX_RANKS,
 };
 pub use drawable::{ArrowDrawable, Category, CategoryKind, Drawable, EventDrawable, StateDrawable};
 pub use error::Slog2Error;
@@ -52,6 +53,6 @@ pub use id::{CategoryId, CategoryMap, TimelineId, WellKnownCategory};
 pub use oocore::ConvertSummary;
 pub use source::{Mmap, TraceSource};
 pub use stats::{legend_stats, CategoryStats};
-pub use tree::{FrameNode, FrameTree, Preview};
+pub use tree::{FrameNode, FrameTree, Preview, MAX_TREE_DEPTH};
 pub use validate::{validate, Defect};
 pub use window::TimeWindow;

@@ -17,11 +17,12 @@ use std::io;
 use std::path::Path;
 
 use mpelog::clog2::StreamError;
+use mpelog::wire::WireError;
 use mpelog::Clog2File;
 
 use crate::convert::{
     register_terminal_categories, terminal_shard, ConvertWarning, Converter, FailureKind,
-    RankVerdict, SalvageReport, TornPolicy,
+    RankVerdict, SalvageReport, TornPolicy, MAX_RANKS,
 };
 use crate::scan::{build_categories, scan_sources, BlockInput, CategoryTable, RankScan};
 
@@ -88,6 +89,7 @@ impl Converter {
         let mut shards = Vec::new();
         let (mut table, nranks) = match src {
             TraceSource::InMemory(clog) => {
+                check_ranks(clog.nranks)?;
                 let table = build_categories(&clog.state_defs, &clog.event_defs);
                 let blocks: Vec<_> = clog
                     .blocks
@@ -154,6 +156,7 @@ impl Converter {
                 s.file
             }
         };
+        check_ranks(image.nranks)?;
         let table = build_categories(&image.state_defs, &image.event_defs);
         let blocks: Vec<_> = image.blocks.iter().map(BlockInput::Image).collect();
         self.scan_blocks(&blocks, &table, workers, spill, shards)?;
@@ -181,6 +184,16 @@ impl Converter {
         }
         Ok(())
     }
+}
+
+/// Refuse a log whose header claims more than [`MAX_RANKS`] ranks.
+fn check_ranks(nranks: u32) -> Result<(), WireError> {
+    if nranks > MAX_RANKS {
+        return Err(WireError::Corrupt(format!(
+            "header claims {nranks} ranks (at most {MAX_RANKS})"
+        )));
+    }
+    Ok(())
 }
 
 /// A read-only memory-mapped file.

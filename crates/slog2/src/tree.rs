@@ -19,6 +19,11 @@ use crate::drawable::Drawable;
 use crate::id::CategoryId;
 use crate::window::TimeWindow;
 
+/// The deepest frame tree a file may hold: the reader refuses a deeper
+/// one, and every builder clamps its depth limit to this. Each walk of
+/// a tree recurses once per level, so this bounds their stack use.
+pub const MAX_TREE_DEPTH: u32 = 64;
+
 /// Per-category aggregate used for zoomed-out rendering.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Preview {
@@ -141,7 +146,8 @@ impl FrameTree {
     }
 
     /// Build a tree from columnar drawable storage, forking the subtree
-    /// recursion onto up to `parallelism` scoped threads.
+    /// recursion onto up to `parallelism` scoped threads. `max_depth` is
+    /// clamped to [`MAX_TREE_DEPTH`].
     ///
     /// The recursion partitions `u32` row ids instead of moving
     /// 80-byte `Drawable` values, and only materializes a row once, at
@@ -160,7 +166,7 @@ impl FrameTree {
     ) -> FrameTree {
         let split = Split {
             capacity: capacity.max(1),
-            max_depth,
+            max_depth: max_depth.min(MAX_TREE_DEPTH),
         };
         // Each fork level doubles the worker count: budget = ceil(log2 n).
         let forks = parallelism.max(1).next_power_of_two().trailing_zeros();
@@ -168,7 +174,7 @@ impl FrameTree {
         FrameTree {
             root: build_node(cols, rows, t0, t1, 0, split, forks),
             capacity: split.capacity,
-            max_depth,
+            max_depth: split.max_depth,
         }
     }
 

@@ -110,6 +110,23 @@ fn salvage_writes_one_file_from_either_input_mode() {
 }
 
 #[test]
+fn a_header_claiming_too_many_ranks_exits_2_in_every_mode() {
+    // The magic and a claim of 2^32 - 1 ranks: refused before a
+    // timeline is built for any of them.
+    let (dir, input) = setup("ranks", b"PCLOG2\x00\x01\xff\xff\xff\xff");
+    let out = dir.join("out.pslog2");
+    for args in [
+        &[][..],
+        &["--salvage"],
+        &["--salvage", "--mmap"],
+        &["--salvage", "--budget-mb", "1"],
+    ] {
+        assert_eq!(run(&input, &out, args), (Some(2), Vec::new()), "{args:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn stream_flag_is_rejected() {
     let (dir, input) = setup("stream", &log_bytes());
     let out = dir.join("out.pslog2");

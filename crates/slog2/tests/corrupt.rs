@@ -2,18 +2,17 @@
 //! flips, inflated count fields, and splices of two valid images. The
 //! parse loop (strict and tolerant, image and owned) and the converter
 //! on `TraceSource::Bytes` (strict and salvage) must never panic, and a
-//! tolerant parse must return a record-aligned prefix.
+//! tolerant parse must return a record-aligned prefix. A header that
+//! claims more than `MAX_RANKS` ranks gets a typed error from the
+//! converter.
 
 use std::sync::OnceLock;
 
-use mpelog::wire::Reader;
+use mpelog::clog2::StreamError;
+use mpelog::wire::{Reader, WireError};
 use mpelog::{Clog2File, Clog2Image, Color, Logger, Record, RecordView};
 use proptest::prelude::*;
-use slog2::{Converter, SalvageReport, TornPolicy, TraceSource};
-
-/// The converter builds one timeline per rank the header claims, so
-/// the converter cells skip images whose header claims more.
-const MAX_CONVERTED_RANKS: u32 = 64;
+use slog2::{Converter, SalvageReport, TornPolicy, TraceSource, MAX_RANKS};
 
 /// A log of `lens.len()` ranks where rank `r` logs `lens[r]` records:
 /// nested states, solo events, and sends and receives around a ring.
@@ -147,16 +146,23 @@ fn check(bytes: &[u8]) {
     assert_eq!(owned.records_recovered, salvaged.records_recovered);
     assert_eq!(Clog2File::from_bytes(bytes).is_ok(), strict.is_ok());
 
-    if salvaged.file.nranks > MAX_CONVERTED_RANKS {
-        return;
-    }
     let conv = Converter::new().parallelism(2);
     let converted = conv.convert(TraceSource::Bytes(bytes));
-    assert_eq!(converted.is_ok(), strict.is_ok());
-    let c = conv
+    let salvaging = conv
         .on_torn(TornPolicy::Salvage(SalvageReport::default()))
-        .convert(TraceSource::Bytes(bytes))
-        .expect("salvaging a byte image cannot fail");
+        .convert(TraceSource::Bytes(bytes));
+    if salvaged.file.nranks > MAX_RANKS {
+        // Strict conversion stops at the first defect, the claim or an
+        // earlier one; salvage reads up to the claim and refuses it.
+        assert!(converted.is_err());
+        assert!(matches!(
+            salvaging,
+            Err(StreamError::Wire(WireError::Corrupt(_)))
+        ));
+        return;
+    }
+    assert_eq!(converted.is_ok(), strict.is_ok());
+    let c = salvaging.expect("salvaging a byte image of at most MAX_RANKS ranks cannot fail");
     let report = c.salvage.expect("a salvaging conversion reports");
     assert_eq!(report.records_recovered, salvaged.records_recovered);
     assert_eq!(report.truncated, salvaged.truncated);

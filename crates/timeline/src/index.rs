@@ -13,6 +13,8 @@
 
 use slog2::{ArrowDrawable, Drawable, FrameNode, FrameTree, Preview, Slog2File, TimeWindow};
 
+use crate::par::{self, Task};
+
 /// Frame capacity and depth limit of the per-rank trees: the
 /// converter's defaults, so a rank's tree splits like the file's.
 const RANK_FRAME_CAPACITY: usize = 64;
@@ -134,7 +136,7 @@ impl ArrowPreview {
 }
 
 /// The arrows from one rank to another, aggregated.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Pair {
     from: u32,
     to: u32,
@@ -143,7 +145,7 @@ struct Pair {
 
 /// One arrow-tree node's `(from, to)` aggregates over its whole
 /// subtree, with children shaped like the node's.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct PairNode {
     /// Sorted by `(from, to)`. `None` where the pairs would not
     /// compress the subtree's arrows at least as many times as the tree
@@ -157,34 +159,64 @@ struct PairNode {
 
 impl TimelineIndex {
     /// Build the index by scanning `file` once. The trees are built from
-    /// the file's drawables by reference, one rank at a time; the pair
-    /// aggregates are one bottom-up pass over the arrow tree.
+    /// the file's drawables by reference: each rank's tree, and the
+    /// arrow tree with its pair aggregates (one bottom-up pass over it),
+    /// is an independent task, so past a fixed number of drawables
+    /// (131,072) the tasks are shared among the available cores. The
+    /// index is the same at every core count.
     pub fn build(file: &Slog2File) -> TimelineIndex {
-        let mut per_rank: Vec<Vec<&Drawable>> = vec![Vec::new(); file.timelines.len()];
-        let mut arrows = Vec::new();
-        for d in file.tree.query(TimeWindow::ALL) {
-            let rank = match d {
-                Drawable::State(s) => s.timeline,
-                Drawable::Event(e) => e.timeline,
-                Drawable::Arrow(_) => {
-                    arrows.push(d);
-                    continue;
-                }
-            };
-            if let Some(v) = per_rank.get_mut(rank.as_usize()) {
-                v.push(d);
-            }
-        }
-        let w = file.range;
-        let tree = |ds: Vec<&Drawable>| {
-            FrameTree::build(ds, w.t0, w.t1, RANK_FRAME_CAPACITY, RANK_MAX_DEPTH)
-        };
-        let arrows = tree(arrows);
-        let levels = u64::from(arrows.depth()) + 1;
-        TimelineIndex {
-            ranks: per_rank.into_iter().map(tree).collect(),
-            pairs: pair_node(&arrows.root, levels, &mut Vec::new()),
+        Self::build_beside(file, Vec::new())
+    }
+
+    /// [`build`](Self::build), with the caller's own independent
+    /// `beside` tasks run in the same pool as the trees.
+    pub(crate) fn build_beside<'a>(file: &'a Slog2File, beside: Vec<Task<'a>>) -> TimelineIndex {
+        let (per_rank, arrows) = by_rank(file);
+        let total = per_rank.iter().map(Vec::len).sum::<usize>() + arrows.len();
+        Self::build_on(
+            file.range,
+            per_rank,
             arrows,
+            par::helpers(total as u64),
+            beside,
+        )
+    }
+
+    /// Build from each rank's states and events and from the arrows,
+    /// over `range`, on the calling thread and up to `helpers` others.
+    fn build_on<'a>(
+        range: TimeWindow,
+        per_rank: Vec<Vec<&'a Drawable>>,
+        arrows: Vec<&'a Drawable>,
+        helpers: usize,
+        beside: Vec<Task<'a>>,
+    ) -> TimelineIndex {
+        let tree = move |ds: Vec<&Drawable>| {
+            FrameTree::build(ds, range.t0, range.t1, RANK_FRAME_CAPACITY, RANK_MAX_DEPTH)
+        };
+        let mut ranks: Vec<Option<FrameTree>> = per_rank.iter().map(|_| None).collect();
+        let mut arrow_index = None;
+        // The tree tasks borrow this frame's slots, so the list lives
+        // shorter than `'a`.
+        let mut tasks: Vec<Task<'_>> = beside;
+        for (slot, ds) in ranks.iter_mut().zip(per_rank) {
+            tasks.push(Task::new(ds.len() as u64, move || *slot = Some(tree(ds))));
+        }
+        tasks.push(Task::new(arrows.len() as u64, || {
+            let arrows = tree(arrows);
+            let levels = u64::from(arrows.depth()) + 1;
+            let pairs = pair_node(&arrows.root, levels, &mut Vec::new());
+            arrow_index = Some((arrows, pairs));
+        }));
+        par::run(tasks, helpers);
+        let (arrows, pairs) = arrow_index.expect("every task has run");
+        TimelineIndex {
+            ranks: ranks
+                .into_iter()
+                .map(|t| t.expect("every task has run"))
+                .collect(),
+            arrows,
+            pairs,
         }
     }
 
@@ -264,6 +296,28 @@ impl TimelineIndex {
         p.merge(&self.arrows.window_preview(w));
         p
     }
+}
+
+/// `file`'s drawables by reference, in its tree's order: each rank's
+/// states and events, and the arrows. A state or event of a rank past
+/// the timeline table is left out.
+fn by_rank(file: &Slog2File) -> (Vec<Vec<&Drawable>>, Vec<&Drawable>) {
+    let mut per_rank: Vec<Vec<&Drawable>> = vec![Vec::new(); file.timelines.len()];
+    let mut arrows = Vec::new();
+    for d in file.tree.query(TimeWindow::ALL) {
+        let rank = match d {
+            Drawable::State(s) => s.timeline,
+            Drawable::Event(e) => e.timeline,
+            Drawable::Arrow(_) => {
+                arrows.push(d);
+                continue;
+            }
+        };
+        if let Some(v) = per_rank.get_mut(rank.as_usize()) {
+            v.push(d);
+        }
+    }
+    (per_rank, arrows)
 }
 
 /// Aggregate `node`'s subtree per `(from, to)`: its children's pairs
@@ -542,5 +596,120 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A file of `ranks` ranks, its times from a seeded generator: every
+    /// fifth rank logs nothing, rank 1 logs only events, the others
+    /// states and events, and the arrows outnumber any rank's drawables.
+    fn parity_file(ranks: u32) -> Slog2File {
+        let mut x = u64::from(ranks) * 0x9e37_79b9;
+        let mut next = move || {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (x >> 11) as f64 / (1u64 << 53) as f64 * 100.0
+        };
+        let mut ds = Vec::new();
+        let mut most = 0;
+        for r in 0..ranks {
+            let n = if r % 5 == 4 { 0 } else { 150 + 40 * r as usize };
+            most = most.max(n);
+            for i in 0..n {
+                let t = next();
+                ds.push(if r == 1 || i % 3 == 0 {
+                    Drawable::Event(EventDrawable {
+                        category: CategoryId(1),
+                        timeline: TimelineId(r),
+                        time: t,
+                        text: String::new(),
+                    })
+                } else {
+                    Drawable::State(StateDrawable {
+                        category: CategoryId(0),
+                        timeline: TimelineId(r),
+                        start: t,
+                        end: (t + next() / 50.0).min(100.0),
+                        nest_level: 0,
+                        text: String::new(),
+                    })
+                });
+            }
+        }
+        for i in 0..most * 2 + 300 {
+            let t = next();
+            ds.push(Drawable::Arrow(ArrowDrawable {
+                category: CategoryId(2),
+                from_timeline: TimelineId(i as u32 % ranks),
+                to_timeline: TimelineId((i as u32 * 7 + 1) % ranks),
+                start: t,
+                end: (t + next() / 20.0).min(100.0),
+                tag: 0,
+                size: i as u32 % 97,
+            }));
+        }
+        let range = TimeWindow::new(0.0, 100.0);
+        Slog2File {
+            timelines: (0..ranks).map(|r| format!("P{r}")).collect(),
+            categories: vec![],
+            range,
+            warnings: vec![],
+            tree: FrameTree::build(ds, range.t0, range.t1, 64, 16),
+        }
+    }
+
+    /// Build `file`'s index with `workers` threads and assert it equals
+    /// the serial build, tree by tree, pair aggregates included.
+    fn assert_builds_equal_the_serial_build(file: &Slog2File, workers: &[usize]) {
+        let build = |workers: usize| {
+            let (per_rank, arrows) = by_rank(file);
+            TimelineIndex::build_on(file.range, per_rank, arrows, workers - 1, Vec::new())
+        };
+        let serial = build(1);
+        assert_eq!(serial.nranks(), file.timelines.len());
+        for &n in workers {
+            let index = build(n);
+            for (rank, (tree, want)) in index.ranks.iter().zip(&serial.ranks).enumerate() {
+                assert!(tree == want, "{n} workers: rank {rank}'s tree differs");
+            }
+            assert_eq!(index.nranks(), serial.nranks(), "{n} workers");
+            assert!(
+                index.arrows == serial.arrows,
+                "{n} workers: arrow tree differs"
+            );
+            assert!(
+                index.pairs == serial.pairs,
+                "{n} workers: pair aggregates differ"
+            );
+        }
+    }
+
+    #[test]
+    fn parallel_builds_equal_the_serial_build() {
+        for ranks in [1, 2, 9, 33] {
+            let file = parity_file(ranks);
+            let (per_rank, arrows) = by_rank(&file);
+            let largest = per_rank.iter().map(Vec::len).max().unwrap_or(0);
+            assert!(arrows.len() > largest, "{ranks} ranks");
+            if ranks >= 5 {
+                assert!(per_rank[4].is_empty());
+            }
+            if ranks >= 2 {
+                assert!(per_rank[1].iter().all(|d| matches!(d, Drawable::Event(_))));
+            }
+            assert_builds_equal_the_serial_build(&file, &[1, 2, 3, 8]);
+        }
+    }
+
+    /// The same comparison at bigtrace's scale (10⁶ drawables). Slow in
+    /// a debug build; CI runs it in release: `cargo test --release -p
+    /// timeline --lib -- --ignored bigtrace_scale`.
+    #[test]
+    #[ignore]
+    fn bigtrace_scale_parallel_builds_equal_the_serial_build() {
+        let clog = workloads::synthetic_clog(8, 62_500);
+        let file = slog2::Converter::new()
+            .convert(slog2::TraceSource::InMemory(&clog))
+            .expect("synthetic log converts")
+            .file;
+        assert_eq!(file.total_drawables(), 1_000_000);
+        assert_builds_equal_the_serial_build(&file, &[1, 2, 3, 8]);
     }
 }

@@ -38,6 +38,7 @@ pub mod deadline;
 pub mod http;
 pub mod index;
 pub mod obsplane;
+mod par;
 pub mod registry;
 pub mod service;
 

@@ -40,10 +40,11 @@ use std::time::Duration;
 use mpelog::Clog2File;
 use obs::{Counter, Gauge, ObsHandle};
 use pilot_vis::json::Json;
-use slog2::{Converter, SalvageReport, Slog2File, TornPolicy, TraceSource};
+use slog2::{Converter, SalvageReport, Slog2Error, Slog2File, TornPolicy, TraceSource};
 
+use crate::index::TimelineIndex;
 use crate::obsplane::ObsPlane;
-use crate::service::{fnv1a, TimelineService};
+use crate::service::{fnv1a, load_slog2, Loaded, TimelineService};
 
 /// The registry ID of the trace the server was started with.
 pub const DEFAULT_TRACE: &str = "default";
@@ -291,8 +292,7 @@ impl TraceRegistry {
     /// construction happen outside the registry lock; only admission
     /// (budget check, eviction, insert) holds it.
     pub fn upload(&self, id: Option<&str>, bytes: &[u8]) -> Result<UploadOutcome, UploadError> {
-        let digest = fnv1a(bytes);
-        let id = match id {
+        let given = match id {
             Some(DEFAULT_TRACE) => {
                 return Err(UploadError::Invalid(format!(
                     "trace id {DEFAULT_TRACE:?} is reserved for the boot trace"
@@ -305,14 +305,15 @@ impl TraceRegistry {
                 {
                     return Err(UploadError::Invalid(format!("bad trace id {given:?}")));
                 }
-                given.to_string()
+                Some(given)
             }
-            _ => format!("t{digest:016x}"),
+            _ => None,
         };
 
-        let (file, salvaged) = load_upload(bytes)?;
-        let warnings = file.warnings.len();
-        let service = TimelineService::with_obs(file, digest, self.obs.clone());
+        let (loaded, salvaged) = load_upload(bytes)?;
+        let id = given.map_or_else(|| format!("t{:016x}", loaded.digest), str::to_string);
+        let warnings = loaded.file.warnings.len();
+        let service = TimelineService::from_loaded(loaded, self.obs.clone());
         let cost = bytes.len();
 
         let mut inner = self.inner.lock().expect("registry poisoned");
@@ -461,25 +462,28 @@ impl TraceRegistry {
     }
 }
 
-/// The most ranks a CLOG2 upload's header may claim.
-const MAX_UPLOAD_RANKS: u32 = 1 << 16;
+/// The most ranks a CLOG2 upload's header may claim: the converter's
+/// own cap, checked before the body is converted.
+const MAX_UPLOAD_RANKS: u32 = slog2::MAX_RANKS;
 
-/// Parse an upload through the tolerant readers: strict SLOG2, or
+/// Load an upload through the tolerant readers: strict SLOG2 (decoded,
+/// validated and indexed by the service's one load routine), or
 /// salvage-converted CLOG2 (whole or torn). Anything else — and any
 /// SLOG2 body that fails strict validation — is a client error.
-fn load_upload(bytes: &[u8]) -> Result<(Slog2File, bool), UploadError> {
+fn load_upload(bytes: &[u8]) -> Result<(Loaded, bool), UploadError> {
     if Slog2File::sniff(bytes) {
-        let file = Slog2File::from_bytes(bytes)
-            .map_err(|e| UploadError::Invalid(format!("bad SLOG2 body: {e}")))?;
-        let defects = slog2::validate(&file);
-        if !defects.is_empty() {
-            return Err(UploadError::Invalid(format!(
+        let invalid = |e| match e {
+            Slog2Error::Validate(defects) => format!(
                 "SLOG2 body fails validation: {} defect(s), first: {:?}",
                 defects.len(),
                 defects[0]
-            )));
-        }
-        return Ok((file, false));
+            ),
+            Slog2Error::Wire(e) => format!("bad SLOG2 body: {e}"),
+            e => format!("bad SLOG2 body: {e}"),
+        };
+        return load_slog2(bytes)
+            .map(|loaded| (loaded, false))
+            .map_err(|e| UploadError::Invalid(invalid(e)));
     }
     if Clog2File::sniff(bytes) {
         // Refuse what cannot become a trace before converting anything:
@@ -489,19 +493,26 @@ fn load_upload(bytes: &[u8]) -> Result<(Slog2File, bool), UploadError> {
                 "CLOG2 header claims {nranks} ranks (at most {MAX_UPLOAD_RANKS})"
             )));
         }
+        let digest = fnv1a(bytes);
         // Salvage scans the body in place; the converter reports what a
         // tear cost.
         let c = Converter::new()
             .on_torn(TornPolicy::Salvage(SalvageReport::default()))
             .convert(TraceSource::Bytes(bytes))
-            .expect("salvaging a byte image cannot fail");
+            .expect("salvaging a byte image of at most MAX_RANKS ranks cannot fail");
         let report = c.salvage.expect("a salvaging conversion reports");
         if report.records_recovered == 0 {
             return Err(UploadError::Invalid(
                 "CLOG2 body torn before any complete record".into(),
             ));
         }
-        return Ok((c.file, report.truncated));
+        let index = TimelineIndex::build(&c.file);
+        let loaded = Loaded {
+            file: c.file,
+            index,
+            digest,
+        };
+        return Ok((loaded, report.truncated));
     }
     Err(UploadError::Invalid(
         "body is neither SLOG2 nor CLOG2 (unknown magic)".into(),

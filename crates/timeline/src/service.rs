@@ -20,6 +20,7 @@ use slog2::{fnv, Drawable, Slog2Error, Slog2File, TimeWindow};
 use crate::cache::{TileCache, TileKey};
 use crate::index::TimelineIndex;
 use crate::obsplane::PhaseTimer;
+use crate::par::{self, Task};
 
 /// Deepest zoom level the tile endpoint accepts (`2^24` tiles is far
 /// below a second per tile on any real trace).
@@ -59,27 +60,62 @@ struct Baseline {
     diff: OnceLock<Arc<String>>,
 }
 
+/// A decoded and indexed SLOG2 file, with the digest of its bytes.
+pub(crate) struct Loaded {
+    pub(crate) file: Slog2File,
+    pub(crate) index: TimelineIndex,
+    pub(crate) digest: u64,
+}
+
+/// Decode, validate and index an SLOG2 body: the digest is computed
+/// beside the decode, and `validate` runs beside the index build. A
+/// body that fails validation is refused, and the index built beside
+/// the validation is dropped.
+pub(crate) fn load_slog2(bytes: &[u8]) -> Result<Loaded, Slog2Error> {
+    let (file, digest) = par::join(
+        par::body_helpers(bytes.len()),
+        || Slog2File::from_bytes(bytes),
+        || fnv1a(bytes),
+    );
+    let file = file?;
+    let mut defects = Vec::new();
+    let validate = Task::new(file.total_drawables() as u64, || {
+        defects = slog2::validate(&file)
+    });
+    let index = TimelineIndex::build_beside(&file, vec![validate]);
+    if !defects.is_empty() {
+        return Err(Slog2Error::Validate(defects));
+    }
+    Ok(Loaded {
+        file,
+        index,
+        digest,
+    })
+}
+
 impl TimelineService {
     /// Load and validate a `.pslog2` file from disk.
     pub fn load(path: &Path) -> Result<TimelineService, Slog2Error> {
-        let bytes = std::fs::read(path)?;
-        let digest = fnv1a(&bytes);
-        let file = Slog2File::from_bytes(&bytes)?;
-        let defects = slog2::validate(&file);
-        if !defects.is_empty() {
-            return Err(Slog2Error::Validate(defects));
-        }
-        Ok(Self::with_digest(file, digest))
+        let loaded = load_slog2(&std::fs::read(path)?)?;
+        Ok(Self::from_loaded(loaded, obs::Obs::handle()))
     }
 
-    /// Serve an already-loaded file (digest computed from its bytes).
+    /// Serve an already-loaded file (digest computed from its bytes,
+    /// which are encoded beside the index build).
     pub fn from_file(file: Slog2File) -> TimelineService {
-        let digest = fnv1a(&file.to_bytes());
-        Self::with_digest(file, digest)
-    }
-
-    fn with_digest(file: Slog2File, digest: u64) -> TimelineService {
-        Self::with_obs(file, digest, obs::Obs::handle())
+        let mut digest = 0;
+        let encode = Task::new(file.total_drawables() as u64, || {
+            digest = fnv1a(&file.to_bytes())
+        });
+        let index = TimelineIndex::build_beside(&file, vec![encode]);
+        Self::from_loaded(
+            Loaded {
+                file,
+                index,
+                digest,
+            },
+            obs::Obs::handle(),
+        )
     }
 
     /// Build a service reporting into an existing obs registry — the
@@ -87,8 +123,26 @@ impl TimelineService {
     /// [`App`](crate::registry::App) shares the server's registry, so
     /// `/metrics` aggregates cache and query counters across tenants.
     pub fn with_obs(file: Slog2File, digest: u64, obs: ObsHandle) -> TimelineService {
+        let index = TimelineIndex::build(&file);
+        Self::from_loaded(
+            Loaded {
+                file,
+                index,
+                digest,
+            },
+            obs,
+        )
+    }
+
+    /// Serve `loaded`, reporting into `obs`.
+    pub(crate) fn from_loaded(loaded: Loaded, obs: ObsHandle) -> TimelineService {
+        let Loaded {
+            file,
+            index,
+            digest,
+        } = loaded;
         TimelineService {
-            index: TimelineIndex::build(&file),
+            index,
             cache: TileCache::new(4096, &obs),
             obs,
             digest,

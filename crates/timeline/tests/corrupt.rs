@@ -1,13 +1,16 @@
 //! Corrupted (not just truncated) SLOG2: bit flips, inflated count
 //! fields, and splices of two valid images go through the decoder, then
-//! `validate`, then the per-rank index when both accept. Nothing may
-//! panic.
+//! `validate` and the per-rank index whenever the decoder accepts: a
+//! load builds the index beside the validation, so it indexes files
+//! that validation then refuses. Nothing may panic. A frame tree too
+//! deep for the stack is refused by the decoder with a typed error.
 
 use std::sync::OnceLock;
 
+use mpelog::wire::{WireError, Writer};
 use proptest::prelude::*;
-use slog2::{Converter, Slog2File, TimeWindow, TraceSource};
-use timeline::TimelineIndex;
+use slog2::{Converter, Slog2File, TimeWindow, TraceSource, MAX_TREE_DEPTH};
+use timeline::{TimelineIndex, TimelineService, TraceRegistry, UploadError};
 
 /// Two valid images of different shapes: converted synthetic logs with
 /// small frames, so each has a deep tree of many nodes.
@@ -75,9 +78,7 @@ fn check(bytes: &[u8]) {
     let Ok(file) = Slog2File::from_bytes(bytes) else {
         return;
     };
-    if !slog2::validate(&file).is_empty() {
-        return;
-    }
+    let _ = slog2::validate(&file);
     let index = TimelineIndex::build(&file);
     for rank in 0..index.nranks() as u32 {
         let _ = index.rank_preview(rank, TimeWindow::ALL);
@@ -164,4 +165,111 @@ fn count_offsets_read_back_their_counts() {
         .map(|&at| read_u32(bytes, at) as usize)
         .collect();
     assert_eq!(read, drawables);
+}
+
+/// An SLOG2 image with one timeline and no drawables whose frame tree
+/// is a left chain `levels` deep: each chain node splits into the next
+/// one and an empty right leaf, so it has `2 * levels + 1` nodes. The
+/// header declares `max_depth`; every node's depth is its parent's
+/// plus 1.
+fn chain_image(levels: u32, max_depth: u32) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_bytes(b"PSLOG2\x00\x01");
+    w.put_u32(64);
+    w.put_u32(max_depth);
+    w.put_f64(0.0);
+    w.put_f64(1.0);
+    w.put_u32(1);
+    w.put_str("PI_MAIN");
+    w.put_u32(0);
+    w.put_u32(0);
+    let nodes = 2 * levels as usize + 1;
+    w.put_u32(nodes as u32);
+    let directory = w.len();
+    (0..nodes).for_each(|_| w.put_u64(0));
+    let mut node = 0;
+    let mut frame = |w: &mut Writer, depth: u32, t0: f64, t1: f64, split: bool| {
+        w.patch_u64(directory + 8 * node, w.len() as u64);
+        node += 1;
+        w.put_f64(t0);
+        w.put_f64(t1);
+        w.put_u32(depth);
+        w.put_u8(u8::from(split));
+        w.put_u32(0);
+        w.put_u32(0);
+    };
+    let half = |depth: u32| 0.5f64.powi(depth as i32);
+    for depth in 0..levels {
+        frame(&mut w, depth, 0.0, half(depth), true);
+    }
+    frame(&mut w, levels, 0.0, half(levels), false);
+    for depth in (0..levels).rev() {
+        frame(&mut w, depth + 1, half(depth + 1), half(depth), false);
+    }
+    w.into_bytes()
+}
+
+/// Run `f` on a thread with a `stack`-byte stack.
+fn on_stack<T: Send + 'static>(stack: usize, f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(stack)
+        .spawn(f)
+        .expect("spawn a test thread")
+        .join()
+        .expect("the test thread returns")
+}
+
+#[test]
+fn a_chain_deeper_than_the_header_allows_is_refused_on_a_small_stack() {
+    for max_depth in [16, MAX_TREE_DEPTH] {
+        let bytes = chain_image(100_000, max_depth);
+        let refused = on_stack(256 << 10, move || {
+            matches!(Slog2File::from_bytes(&bytes), Err(WireError::Corrupt(_)))
+        });
+        assert!(refused, "header max_depth {max_depth}");
+    }
+    // A header may not declare more than the constant.
+    let bytes = chain_image(1, MAX_TREE_DEPTH + 1);
+    assert!(matches!(
+        Slog2File::from_bytes(&bytes),
+        Err(WireError::Corrupt(_))
+    ));
+}
+
+#[test]
+fn a_chain_at_the_bound_decodes_validates_indexes_and_drops() {
+    let bytes = chain_image(MAX_TREE_DEPTH, MAX_TREE_DEPTH);
+    let depth = on_stack(2 << 20, move || {
+        let file = Slog2File::from_bytes(&bytes).expect("a chain at the bound decodes");
+        assert_eq!(file.tree.node_count(), 2 * MAX_TREE_DEPTH as usize + 1);
+        assert!(slog2::validate(&file).is_empty());
+        assert_eq!(Slog2File::from_bytes(&file.to_bytes()).as_ref(), Ok(&file));
+        let index = TimelineIndex::build(&file);
+        assert_eq!(index.rank_preview(0, TimeWindow::ALL).total_count(), 0);
+        let service = TimelineService::from_file(file);
+        let depth = service.file().tree.depth();
+        drop((index, service));
+        depth
+    });
+    assert_eq!(depth, MAX_TREE_DEPTH);
+}
+
+#[test]
+fn uploads_of_a_chain_past_the_bound_are_client_errors() {
+    let boot = Slog2File::from_bytes(&images()[1]).expect("a valid image");
+    let reg = TraceRegistry::new(
+        TimelineService::from_file(boot),
+        64 << 20,
+        obs::Obs::handle(),
+    );
+    assert!(reg
+        .upload(
+            Some("at-bound"),
+            &chain_image(MAX_TREE_DEPTH, MAX_TREE_DEPTH)
+        )
+        .is_ok());
+    assert!(matches!(
+        reg.upload(Some("deep"), &chain_image(100_000, 16)),
+        Err(UploadError::Invalid(_))
+    ));
 }

@@ -32,7 +32,11 @@ fn sec3d_thumbnail_log_is_robust_and_convertible() {
         compress_factor: 2,
         think_ms: 0.0,
     };
-    let cfg = PilotConfig::new(6).with_services(svc("j"));
+    // Modelled time: on real threads a descheduled rank could raise a
+    // conversion warning that says nothing about the logging calls.
+    let cfg = PilotConfig::new(6)
+        .with_services(svc("j"))
+        .with_engine(minimpi::Engine::Virtual { seed: 1 });
     let (outcome, result) = run_thumbnail(cfg, 5, params);
     assert!(outcome.is_clean(), "{outcome:?}");
     assert_eq!(result.unwrap(), expected_result(&params));
@@ -182,9 +186,13 @@ fn sec3b_abort_asymmetry_between_logs() {
 #[test]
 fn sec3_equal_drawables_and_the_usleep_fix() {
     use pilot::BundleUsage;
+    // The 0.5 ms clock tick and the 1 ms spread are modelled time: on
+    // real threads a descheduled rank can land two arrows on one tick
+    // whatever the spread.
     let run_with_spread = |spread_us: u64| {
         let cfg = PilotConfig::new(4)
             .with_services(svc("j"))
+            .with_engine(minimpi::Engine::Virtual { seed: 1 })
             .with_clock(minimpi::ClockConfig {
                 resolution_s: 5e-4,
                 drift: vec![],
